@@ -26,4 +26,4 @@ class NonConvergenceError(HenonAnnulusError):
 
 
 class ContractViolationError(HenonAnnulusError):
-    """A documented precondition that callers must guarantee did not hold."""
+    """A documented precondition or an internal invariant did not hold."""

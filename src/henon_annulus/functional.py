@@ -119,10 +119,12 @@ class _RadialQuadrature:
     maps nodal values to the points (1 - xi and xi on the cell's two end
     nodes), weight holds the dr-weight times psi times the radial measure,
     and cell_sum adds point values up per cell. Shared by the radial and
-    axisymmetric integral paths.
+    axisymmetric integral paths; point_weight is weight broadcastable
+    against _point_values, times the theta factors colfac on an
+    axisymmetric grid (colfac None on a radial one).
     """
 
-    def __init__(self, nodes: np.ndarray, alpha: float, measure):
+    def __init__(self, nodes: np.ndarray, alpha: float, measure, colfac=None):
         n_cells = len(nodes) - 1
         per_cell = [radial_rule(nodes[i], nodes[i + 1], alpha) for i in range(n_cells)]
         cell = np.repeat(np.arange(n_cells), [len(p) for p, _ in per_cell])
@@ -142,19 +144,29 @@ class _RadialQuadrature:
         self.cell_sum = sp.csr_matrix(
             (np.ones(n_q), (cell, np.arange(n_q))), shape=(n_cells, n_q)
         )
+        if colfac is None:
+            self.point_weight = weight
+        else:
+            self.point_weight = weight[:, None, None] * colfac[None, :, :]
 
 
 class _Assembly:
-    """Lazily built per-grid data: stiffness pieces and quadrature caches."""
+    """Lazily built per-grid data: stiffness pieces, quadrature operators and
+    whatever else callers cache per grid through grid_cached.
+
+    Holds no reference to its grid, so the weak-keyed _ASSEMBLY entry goes
+    with the grid.
+    """
 
     def __init__(self, grid):
-        self.grid = grid
-        self.lock = threading.Lock()
-        self.quad: dict[float, _RadialQuadrature] = {}
-        self.stiffness_full = None
-        self.stiffness_halves = None
+        # Reentrant: a build may itself use the cache (the stiffness factor
+        # needs the stiffness), and concurrent callers wait for one build.
+        self.lock = threading.RLock()
+        self.built: dict = {}
+        self.colfac = None
         if isinstance(grid, RadialGrid):
             nodes, n = grid.nodes, grid.dim
+            self.nodes = nodes
             h = np.diff(nodes)
             self.k_cell = (
                 surface_measure(n) * (nodes[1:] ** n - nodes[:-1] ** n) / (n * h * h)
@@ -162,6 +174,7 @@ class _Assembly:
             self.measure = lambda r: surface_measure(n) * r ** (n - 1)
         else:
             r, t = grid.r_nodes, grid.theta_nodes
+            self.nodes = r
             hr = np.diff(r)
             ht = np.diff(t)
             jr = (r[1:] ** 3 - r[:-1] ** 3) / 3.0
@@ -178,18 +191,20 @@ class _Assembly:
             self.eta = (pts[:, 0] - t[0]) / ht[0]
             self.colfac = wts * np.sin(pts)
 
-    def radial_nodes(self) -> np.ndarray:
-        if isinstance(self.grid, RadialGrid):
-            return self.grid.nodes
-        return self.grid.r_nodes
+    def cached(self, key, build):
+        """The value stored under key, built by build() on first use."""
+        with self.lock:
+            value = self.built.get(key)
+            if value is None:
+                value = build()
+                self.built[key] = value
+            return value
 
     def quadrature(self, alpha: float) -> _RadialQuadrature:
-        with self.lock:
-            q = self.quad.get(alpha)
-            if q is None:
-                q = _RadialQuadrature(self.radial_nodes(), alpha, self.measure)
-                self.quad[alpha] = q
-            return q
+        return self.cached(
+            ("quadrature", alpha),
+            lambda: _RadialQuadrature(self.nodes, alpha, self.measure, self.colfac),
+        )
 
 
 _ASSEMBLY: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -203,6 +218,15 @@ def _assembly(grid) -> _Assembly:
             a = _Assembly(grid)
             _ASSEMBLY[grid] = a
         return a
+
+
+def grid_cached(grid, key: str, build):
+    """build() once per grid and key; the value lives as long as the grid.
+
+    Concurrent callers of one grid wait for a single build, and build may
+    itself call the cached functions of this module on the same grid.
+    """
+    return _assembly(grid).cached(key, build)
 
 
 def cell_energies(u: DiscreteField) -> np.ndarray:
@@ -249,31 +273,27 @@ def halfspace_energies(u: DiscreteField) -> tuple[float, float]:
 def stiffness_matrix(grid) -> sp.csr_matrix:
     """Full symmetric stiffness matrix (no boundary-condition rows removed)."""
     asm = _assembly(grid)
-    with asm.lock:
-        if asm.stiffness_full is None:
-            asm.stiffness_full = _build_stiffness(asm, which="all")
-        return asm.stiffness_full
+    return asm.cached("stiffness", lambda: _build_stiffness(grid, asm, which="all"))
 
 
 def halfspace_stiffness(grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(A_plus, A_minus) assembled from the cells of each half-annulus."""
     asm = _assembly(grid)
-    with asm.lock:
-        if asm.stiffness_halves is None:
-            asm.stiffness_halves = (
-                _build_stiffness(asm, which="plus"),
-                _build_stiffness(asm, which="minus"),
-            )
-        return asm.stiffness_halves
+    return asm.cached(
+        "halfspace_stiffness",
+        lambda: (
+            _build_stiffness(grid, asm, which="plus"),
+            _build_stiffness(grid, asm, which="minus"),
+        ),
+    )
 
 
-def _cell_mask(asm: _Assembly, which: str) -> np.ndarray:
-    mid = asm.grid.mid_index
-    if isinstance(asm.grid, RadialGrid):
-        n = asm.grid.n_cells
-        mask = np.ones(n, dtype=bool)
+def _cell_mask(grid, which: str) -> np.ndarray:
+    mid = grid.mid_index
+    if isinstance(grid, RadialGrid):
+        mask = np.ones(grid.n_cells, dtype=bool)
     else:
-        mask = np.ones((asm.grid.nr, asm.grid.nt), dtype=bool)
+        mask = np.ones((grid.nr, grid.nt), dtype=bool)
     if which == "plus":
         mask[:mid] = False
     elif which == "minus":
@@ -281,9 +301,8 @@ def _cell_mask(asm: _Assembly, which: str) -> np.ndarray:
     return mask
 
 
-def _build_stiffness(asm: _Assembly, which: str) -> sp.csr_matrix:
-    grid = asm.grid
-    mask = _cell_mask(asm, which)
+def _build_stiffness(grid, asm: _Assembly, which: str) -> sp.csr_matrix:
+    mask = _cell_mask(grid, which)
     if isinstance(grid, RadialGrid):
         k = np.where(mask, asm.k_cell, 0.0)
         i = np.arange(grid.n_cells)
@@ -344,13 +363,6 @@ def _point_values(u: DiscreteField, asm: _Assembly, quad: _RadialQuadrature):
     return (1.0 - eta) * ur[:, None, :-1] + eta * ur[:, None, 1:]
 
 
-def _point_weights(asm: _Assembly, quad: _RadialQuadrature):
-    """Quadrature weights broadcastable against _point_values."""
-    if isinstance(asm.grid, RadialGrid):
-        return quad.weight
-    return quad.weight[:, None, None] * asm.colfac[None, :, :]
-
-
 def _check_exponent(p: float) -> None:
     if p < 2.0:
         raise ConfigurationError(f"p must be >= 2, got {p!r}")
@@ -377,7 +389,7 @@ def weighted_force(u: DiscreteField, alpha: float, p: float) -> np.ndarray:
     asm = _assembly(u.grid)
     quad = asm.quadrature(alpha)
     vals = _point_values(u, asm, quad)
-    g = _point_weights(asm, quad) * np.abs(vals) ** (p - 2.0) * vals
+    g = quad.point_weight * np.abs(vals) ** (p - 2.0) * vals
     if isinstance(u.grid, RadialGrid):
         return quad.basis_t @ g
     # transpose of the theta interpolation, then of the radial one
@@ -430,7 +442,7 @@ def weighted_linearized_matrix(u: DiscreteField, alpha: float, p: float) -> sp.c
     asm = _assembly(u.grid)
     quad = asm.quadrature(alpha)
     n = u.grid.n_nodes
-    dens = _point_weights(asm, quad) * np.abs(_point_values(u, asm, quad)) ** (p - 2.0)
+    dens = quad.point_weight * np.abs(_point_values(u, asm, quad)) ** (p - 2.0)
     sr = (1.0 - quad.xi, quad.xi)
     rows, cols, vals = [], [], []
     if isinstance(u.grid, RadialGrid):

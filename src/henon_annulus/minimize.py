@@ -24,7 +24,7 @@ The primary step is nonlinear inverse-power: solve A v = F(u_k), clamp to
 nonnegative values (minimizers can be taken nonnegative), renormalize, and
 damp toward u_k until the quotient decreases. When that stalls, a
 preconditioned gradient step (direction -A^{-1} grad R) with backtracking
-takes over. Accepted steps never increase the quotient (asserted, slack
+takes over. Accepted steps never increase the quotient (checked, slack
 1e-12). Converged iterates are polished by Newton iteration on the unit
 equation A w = F(w) with w = R^{1/(p-2)} u, which drives the level-form
 defect of the rescaled field to roundoff.
@@ -43,6 +43,7 @@ import scipy.sparse.linalg as spla
 from . import functional as fn
 from .errors import (
     ConfigurationError,
+    ContractViolationError,
     DegenerateFieldError,
     NonConvergenceError,
 )
@@ -62,9 +63,6 @@ INTERIOR_MARGIN = 1e-3
 SIGMA_MAX_OUTER = 60
 MULTIPLIER_CLAMP = 0.95
 INIT_EPSILON = 1e-2
-
-_FACTOR_CACHE: dict[int, tuple] = {}
-_FACTOR_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -104,12 +102,22 @@ class SolveResult:
         }
 
 
+def _lu(matrix, free):
+    """SuperLU factor of matrix restricted to the free nodes.
+
+    Every matrix factored here (stiffness, merit stiffness, Newton
+    Jacobian A - (p - 1) M) is symmetric, so the minimum-degree ordering of
+    A^T + A applies; it fills far less than SuperLU's default COLAMD.
+    """
+    return spla.splu(matrix[np.ix_(free, free)].tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
 class _Factor:
     """Shared LU factorization of a free-node SPD matrix, solve under lock."""
 
     def __init__(self, matrix, free):
         self.free = free
-        self.lu = spla.splu(matrix[np.ix_(free, free)].tocsc())
+        self.lu = _lu(matrix, free)
         self.lock = threading.Lock()
 
     def solve(self, rhs_free: np.ndarray) -> np.ndarray:
@@ -117,24 +125,19 @@ class _Factor:
             return self.lu.solve(rhs_free)
 
 
-def _stiffness_factor(grid) -> tuple:
-    """(A_full, factor) for the plain stiffness, cached per grid."""
-    key = id(grid)
-    with _FACTOR_LOCK:
-        hit = _FACTOR_CACHE.get(key)
-        if hit is not None and hit[0] is grid:
-            return hit[1], hit[2]
+def stiffness_factor(grid) -> tuple:
+    """(A_full, factor) for the plain stiffness, factored once per grid."""
     a = fn.stiffness_matrix(grid)
-    factor = _Factor(a, fn.free_indices(grid))
-    with _FACTOR_LOCK:
-        _FACTOR_CACHE[key] = (grid, a, factor)
+    factor = fn.grid_cached(
+        grid, "stiffness_factor", lambda: _Factor(a, fn.free_indices(grid))
+    )
     return a, factor
 
 
 def _merit_matrix(grid, lam: float):
     """(A_c, factor) for A_c = (1 + lam) A_plus + (1 - lam) A_minus."""
     if lam == 0.0:
-        return _stiffness_factor(grid)
+        return stiffness_factor(grid)
     a_plus, a_minus = fn.halfspace_stiffness(grid)
     a = ((1.0 + lam) * a_plus + (1.0 - lam) * a_minus).tocsr()
     return a, _Factor(a, fn.free_indices(grid))
@@ -194,8 +197,7 @@ def _newton_polish(grid, a, u: DiscreteField, merit: float, alpha: float, p: flo
     for _ in range(NEWTON_MAX):
         jac = a - (p - 1.0) * fn.weighted_linearized_matrix(field, alpha, p)
         try:
-            lu = spla.splu(jac[np.ix_(free, free)].tocsc())
-            delta = lu.solve(-defect[free])
+            delta = _lu(jac, free).solve(-defect[free])
         except RuntimeError:
             break
         if not np.all(np.isfinite(delta)):
@@ -264,9 +266,18 @@ def _descend(
     rel_change = math.inf
     iterations = 0
     gnorm = math.inf
+    force_memo: tuple = (None, None)
+
+    def force(field):
+        # The gradient, the inverse-power right-hand side and the multiplier
+        # estimate all need F of the same iterate: evaluate it once.
+        nonlocal force_memo
+        if force_memo[0] is not field:
+            force_memo = (field, fn.weighted_force(field, alpha, p))
+        return force_memo[1]
 
     def masked_gradient(field, merit_value):
-        g = 2.0 * (a @ field.values - merit_value * fn.weighted_force(field, alpha, p))
+        g = 2.0 * (a @ field.values - merit_value * force(field))
         g[mask] = 0.0
         return g
 
@@ -304,7 +315,7 @@ def _descend(
         if polish and p > 2.0 and slow and iterations - last_polish >= polish_gap:
             last_polish = iterations
             if project:
-                r0 = (a @ u.values - merit * fn.weighted_force(u, alpha, p))[free]
+                r0 = (a @ u.values - merit * force(u))[free]
                 dvec = 0.5 * balance_normal(u)[free]
                 dd = float(dvec @ dvec)
                 lam_ls = 0.0 if dd == 0.0 else float(
@@ -323,12 +334,15 @@ def _descend(
                 polish_gap = min(2 * polish_gap, 800)
         if accepted is None:
             sol = np.zeros(grid.n_nodes)
-            sol[free] = factor.solve(fn.weighted_force(u, alpha, p)[free])
+            sol[free] = factor.solve(force(u)[free])
             cand = _clamped_normalized(grid, sol, alpha, p)
             if cand is not None:
                 t = 1.0
                 for _ in range(9):
-                    trial = feasible((1.0 - t) * u.values + t * cand.values)
+                    if t == 1.0 and not project:
+                        trial = cand  # already clamped and normalized
+                    else:
+                        trial = feasible((1.0 - t) * u.values + t * cand.values)
                     if trial is not None:
                         tm, tep, tem = _merit_energy(trial, lam)
                         if tm < merit:
@@ -359,7 +373,8 @@ def _descend(
         if accepted is None:
             break
         trial, tm, tep, tem = accepted
-        assert tm <= merit * (1.0 + 1e-12), "quotient increased on an accepted step"
+        if tm > merit * (1.0 + 1e-12):
+            raise ContractViolationError("quotient increased on an accepted step")
         rel_change = (merit - tm) / merit
         u, merit, ep, em = trial, tm, tep, tem
 
@@ -524,7 +539,7 @@ def _bordered_newton(grid, u: DiscreteField, lam: float, merit: float,
         d = ((a_plus - a_minus) @ w)[free]
         b = 2.0 * d
         try:
-            lu = spla.splu(jac[np.ix_(free, free)].tocsc())
+            lu = _lu(jac, free)
             s1, s2 = lu.solve(r), lu.solve(d)
         except RuntimeError:
             break

@@ -41,7 +41,7 @@ from .errors import (
     DegenerateFieldError,
 )
 from .geometry import DiscreteField, ProblemParams
-from .minimize import _newton_polish, _stiffness_factor
+from .minimize import _newton_polish, stiffness_factor
 
 MIN_SEGMENTS = 9
 REDISTRIBUTE_EVERY = 20
@@ -202,7 +202,7 @@ def mountain_pass(
         raise ConfigurationError(f"path needs at least {MIN_SEGMENTS} segments")
     alpha, p = path.alpha, path.p
     grid = path.nodes[0].grid
-    matrix, factor = _stiffness_factor(grid)
+    matrix, factor = stiffness_factor(grid)
     free = factor.free
     m = len(path.nodes) - 1
     endpoint_levels = (float(path.quotients[0]), float(path.quotients[m]))
@@ -372,9 +372,8 @@ def mountain_pass(
                         nodes = candidate.nodes
                         quotients = candidate.quotients
             current_max = float(quotients.max())
-            assert current_max <= running_max + 1e-10 * max(1.0, running_max), (
-                "path maximum increased"
-            )
+            if current_max > running_max + 1e-10 * max(1.0, running_max):
+                raise ContractViolationError("path maximum increased")
             running_max = min(running_max, current_max)
             if trace is not None:
                 for k, q in enumerate(quotients):
@@ -388,8 +387,11 @@ def mountain_pass(
         if trace is not None:
             trace.close()
 
-    assert np.array_equal(nodes[0].values, endpoint_values[0]), "endpoint moved"
-    assert np.array_equal(nodes[m].values, endpoint_values[1]), "endpoint moved"
+    if not (
+        np.array_equal(nodes[0].values, endpoint_values[0])
+        and np.array_equal(nodes[m].values, endpoint_values[1])
+    ):
+        raise ContractViolationError("path endpoint moved")
     k = int(np.argmax(quotients))
     return MpassResult(
         beta=float(quotients[k]),

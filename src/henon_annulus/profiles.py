@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, ContractViolationError, DomainError
 from .geometry import AxiGrid, DiscreteField, RadialGrid
 
 BUMP_PROFILES = ("smooth",)
@@ -112,7 +112,7 @@ class InstantonParams:
     index 0 centers at r = 3 - 1/|log eps| (outer), index 1 at
     r = 1 + 1/|log eps| (inner), both on the theta = 0 axis. The cutoff is
     1 inside distance 1/(2 |log eps|) and 0 beyond 1/|log eps|, which keeps
-    the support ball inside the closed annulus for eps < e^-2 (asserted).
+    the support ball inside the closed annulus for eps < e^-2 (checked).
     """
 
     epsilon: float
@@ -127,7 +127,10 @@ class InstantonParams:
             )
         # The support ball touches its boundary sphere tangentially and must
         # stay within that half-annulus: 2 / |log eps| < 1, i.e. eps < e^-2.
-        assert 2.0 * self.support_radius < 1.0
+        if not 2.0 * self.support_radius < 1.0:
+            raise ContractViolationError(
+                f"support diameter {2.0 * self.support_radius!r} leaves its half-annulus"
+            )
 
     @property
     def log_scale(self) -> float:

@@ -3,7 +3,7 @@
 Every test computes its clauses live at the desk-scale resolutions fixed
 below (radial n = 2000, axisymmetric 256 x 96 unless a criterion needs a
 finer probe), appends a one-line PASS/FAIL verdict that the conftest
-terminal-summary hook replays, and then asserts all clauses.
+terminal-summary hook replays and stores, and then asserts all clauses.
 
 Three clauses rest on measured facts about the discrete landscape:
 
@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from bubble_oracle import truncated_bubble_level
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_RECORDS
 
 from henon_annulus import (
     CutoffSpec,
@@ -71,13 +71,15 @@ from henon_annulus.functional import scaled_critical_field
 
 
 def _verdict(num: int, clauses: list[tuple[str, bool]], detail: str) -> None:
-    """Record one PASS/FAIL line for the terminal summary, then assert."""
+    """Record one PASS/FAIL verdict for the terminal summary, then assert."""
     ok = all(flag for _, flag in clauses)
     failed = ", ".join(name for name, flag in clauses if not flag)
     line = f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} ({detail})"
     if failed:
         line += f" [failed: {failed}]"
-    ACCEPTANCE_LINES.append(line)
+    ACCEPTANCE_RECORDS.append(
+        {"criterion": num, "verdict": "PASS" if ok else "FAIL", "line": line}
+    )
     assert ok, line
 
 

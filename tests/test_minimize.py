@@ -8,11 +8,20 @@ the n = 2000 graded grid reproduce them to a few parts in 1e6; the 5e-5
 gate leaves room for either discretization moving slightly.
 """
 
+import gc
 import math
+import sys
+import threading
+import time
+import types
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from henon_annulus import functional as fn
+from henon_annulus import minimize
 from henon_annulus import (
     ConfigurationError,
     DiscreteField,
@@ -173,6 +182,72 @@ class TestLambda:
     def test_rejects_radial_grid(self, radial_grid, params_alpha1_p4):
         with pytest.raises(ConfigurationError):
             solve_lambda(params_alpha1_p4, radial_grid)
+
+
+class TestRepeatedWork:
+    def test_one_force_per_iterate(self, axi_grid, monkeypatch):
+        # solve_lambda runs a single descent; the gradient, the inverse-power
+        # right-hand side and the final gradient share F of each iterate
+        seen = []
+        real = fn.weighted_force
+
+        def recording(u, alpha, p):
+            seen.append(u)
+            return real(u, alpha, p)
+
+        monkeypatch.setattr(fn, "weighted_force", recording)
+        result = solve_lambda(ProblemParams(alpha=1.0, p=5.5), axi_grid)
+        assert result.converged
+        # seen keeps every field alive, so equal ids mean the same object
+        assert len({id(u) for u in seen}) == len(seen)
+
+
+class TestGridCache:
+    def test_solved_grids_are_released(self):
+        gc.collect()
+        before = len(fn._ASSEMBLY)
+        refs = []
+        for nr, nt in ((48, 16), (64, 21), (96, 32)):
+            grid = build_axi_grid(nr, nt, "graded-polar")
+            solve_ground(ProblemParams(20.0, 4.0), grid)
+            refs.append(weakref.ref(grid))
+            del grid
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        # the radial grids solve_ground embeds are gone as well
+        assert len(fn._ASSEMBLY) == before
+
+    def test_stiffness_factored_once_under_contention(self, monkeypatch):
+        grid = build_axi_grid(48, 16, "graded-polar")
+        calls = []
+
+        def slow_splu(*args, **kwargs):
+            calls.append(threading.get_ident())
+            time.sleep(0.05)  # a racing thread would miss the cache meanwhile
+            return spla.splu(*args, **kwargs)
+
+        monkeypatch.setattr(minimize, "spla", types.SimpleNamespace(splu=slow_splu))
+        barrier = threading.Barrier(4)
+        factors = []
+
+        def request():
+            barrier.wait(timeout=10)
+            factors.append(minimize.stiffness_factor(grid)[1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=request) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(factors) == 4
+        assert all(f is factors[0] for f in factors)
 
 
 class TestResultPayload:

@@ -1,6 +1,7 @@
 """Path deformation between the boundary bubbles: contracts and benchmarks."""
 
 import csv
+import importlib
 import math
 
 import numpy as np
@@ -102,6 +103,24 @@ class TestPathCrossing:
 
 
 class TestMountainPass:
+    def test_moved_endpoint_is_a_contract_violation(self, axi_grid_small, monkeypatch):
+        # the invariant must hold under python -O too, so it raises
+        mp = importlib.import_module("henon_annulus.mountain_pass")
+        ua = instanton(InstantonParams(1e-3, 0), axi_grid_small)
+        ub = instanton(InstantonParams(1e-3, 1), axi_grid_small)
+        path = straight_path(ua, ub, 12, 1.0, 4.0)
+        assert 0 < path.max_index < 12
+
+        def moving(path, matrix, pin):
+            nodes = list(path.nodes)
+            nodes[0] = nodes[0].with_values(2.0 * nodes[0].values)
+            return mp.PathState(nodes, path.quotients.copy(), path.alpha, path.p)
+
+        monkeypatch.setattr(mp, "REDISTRIBUTE_EVERY", 1)
+        monkeypatch.setattr(mp, "_redistribute", moving)
+        with pytest.raises(ContractViolationError, match="endpoint moved"):
+            mountain_pass(path, ProblemParams(1.0, 4.0), maxit=1)
+
     def test_nondegenerate_benchmark(self, axi_grid, params_alpha1_p4, tmp_path):
         u0, u1 = _endpoints(axi_grid, params_alpha1_p4)
         path = straight_path(u0.field, u1.field, 12, 1.0, 4.0)
