@@ -9,10 +9,10 @@ Euler-Lagrange system A u = E F(u):
 * solve_ground: the same over the axisymmetric space, started from an
   embedded radial minimizer and from bubbles at either boundary; the
   lowest converged quotient wins (level S).
-* solve_sigma: minimization subject to equal half-annulus energies
-  E_plus = E_minus, by multiplier iteration on the merit stiffness
-  A_c = (1 + c) A_plus + (1 - c) A_minus with c updated along the
-  constraint defect (level T).
+* solve_sigma: projected descent over the balanced set E_plus = E_minus,
+  then a Newton solve bordered by that constraint, certified against the
+  merit stiffness A(c) = (1 + c) A_plus + (1 - c) A_minus of the
+  multiplier c it recovers (level T).
 * solve_lambda: unconstrained descent started from the bubble at a chosen
   boundary sphere (inner by default); if the iterate keeps strictly more
   energy in that half it is an interior local minimizer of the region
@@ -25,9 +25,11 @@ nonnegative values (minimizers can be taken nonnegative), renormalize, and
 damp toward u_k until the quotient decreases. When that stalls, a
 preconditioned gradient step (direction -A^{-1} grad R) with backtracking
 takes over. Accepted steps never increase the quotient (checked, slack
-1e-12). Converged iterates are polished by Newton iteration on the unit
-equation A w = F(w) with w = R^{1/(p-2)} u, which drives the level-form
-defect of the rescaled field to roundoff.
+1e-12). Slow descent and converged iterates are polished by the damped
+Newton iteration of `newton` on the unit equation A w = F(w) with
+w = R^{1/(p-2)} u, which drives the level-form defect of the rescaled
+field to roundoff; on the balanced set the same iteration runs bordered by
+the constraint.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -57,11 +59,10 @@ GRADIENT_FACTOR = 1e-7
 RESIDUAL_TOL = 1e-6
 MAX_ITERATIONS = 10_000
 NEWTON_MAX = 8
+BORDERED_NEWTON_MAX = 16
 POLISH_EVERY = 25
 POLISH_TRIGGER = 1e-5
 INTERIOR_MARGIN = 1e-3
-SIGMA_MAX_OUTER = 60
-MULTIPLIER_CLAMP = 0.95
 INIT_EPSILON = 1e-2
 
 
@@ -105,9 +106,9 @@ class SolveResult:
 def _lu(matrix, free):
     """SuperLU factor of matrix restricted to the free nodes.
 
-    Every matrix factored here (stiffness, merit stiffness, Newton
-    Jacobian A - (p - 1) M) is symmetric, so the minimum-degree ordering of
-    A^T + A applies; it fills far less than SuperLU's default COLAMD.
+    Every matrix factored here (stiffness, Newton Jacobian A - (p - 1) M)
+    is symmetric, so the minimum-degree ordering of A^T + A applies; it
+    fills far less than SuperLU's default COLAMD.
     """
     return spla.splu(matrix[np.ix_(free, free)].tocsc(), permc_spec="MMD_AT_PLUS_A")
 
@@ -134,13 +135,10 @@ def stiffness_factor(grid) -> tuple:
     return a, factor
 
 
-def _merit_matrix(grid, lam: float):
-    """(A_c, factor) for A_c = (1 + lam) A_plus + (1 - lam) A_minus."""
-    if lam == 0.0:
-        return stiffness_factor(grid)
+def _merit_stiffness(grid, lam: float):
+    """A(lam) = (1 + lam) A_plus + (1 - lam) A_minus."""
     a_plus, a_minus = fn.halfspace_stiffness(grid)
-    a = ((1.0 + lam) * a_plus + (1.0 - lam) * a_minus).tocsr()
-    return a, _Factor(a, fn.free_indices(grid))
+    return ((1.0 + lam) * a_plus + (1.0 - lam) * a_minus).tocsr()
 
 
 def _clamped_normalized(grid, values, alpha: float, p: float):
@@ -167,7 +165,7 @@ class _DescentState:
     converged: bool
 
 
-def _merit_energy(u: DiscreteField, lam: float) -> tuple[float, float, float]:
+def _merit_energy(u: DiscreteField, lam: float = 0.0) -> tuple[float, float, float]:
     ep, em = fn.halfspace_energies(u)
     return (1.0 + lam) * ep + (1.0 - lam) * em, ep, em
 
@@ -180,53 +178,107 @@ def _level_defect(a, u: DiscreteField, level: float, alpha: float, p: float) -> 
     return float(np.linalg.norm(defect[~u.grid.dirichlet_mask]))
 
 
-def _newton_polish(grid, a, u: DiscreteField, merit: float, alpha: float, p: float):
-    """Damped Newton iteration on A w = F(w) from w = merit^{1/(p-2)} u.
+def _multiplier(grid, u: DiscreteField, merit: float, force: np.ndarray) -> float:
+    """Least-squares multiplier of the balanced stationarity condition.
 
-    Steps are shortened to at most half the field norm and backtracked on
-    the defect norm, which widens the basin enough to capture sharply
-    concentrated near-critical profiles. Returns the polished nonnegative
-    normalized field or None if no step reduced the defect.
+    The lam minimizing |A u - merit F(u) + lam (A_plus - A_minus) u| over
+    the free nodes, given force = F(u), clipped to |lam| < 1 so that A(lam)
+    stays positive definite.
     """
     free = fn.free_indices(grid)
+    a_plus, a_minus = fn.halfspace_stiffness(grid)
+    r0 = (fn.stiffness_matrix(grid) @ u.values - merit * force)[free]
+    d = ((a_plus - a_minus) @ u.values)[free]
+    dd = float(d @ d)
+    return 0.0 if dd == 0.0 else float(np.clip(-(d @ r0) / dd, -0.999, 0.999))
+
+
+def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
+           lam: float | None = None):
+    """Damped Newton iteration on A w = F(w) from w = merit^{1/(p-2)} u.
+
+    Without lam, A is the plain stiffness. With lam, A = A(lam) and the
+    system is bordered by the constraint E_plus(w) = E_minus(w), the
+    multiplier moving with the field: the balanced minimizer is a saddle of
+    each fixed-multiplier merit functional, so descent alone slides off the
+    constraint, while the joint system converges quadratically onto the
+    balanced stationary pair. Block elimination keeps a bordered step at
+    two triangular solves.
+
+    Steps are shortened to at most half the field norm and halved until the
+    norm of the residual (and of the constraint defect) decreases, which
+    widens the basin enough to capture sharply concentrated near-critical
+    profiles. The iteration takes at most NEWTON_MAX steps, or
+    BORDERED_NEWTON_MAX with the border: at 256x96 the projected descent
+    takes more than twice the steps with bordered runs cut at 8, and the
+    mountain pass takes more sweeps with unbordered runs allowed 16.
+
+    Returns (field, lam), the polished nonnegative normalized field and the
+    final multiplier (None without a border), or None if no step reduced
+    the residual.
+    """
+    free = fn.free_indices(grid)
+    bordered = lam is not None
+    if bordered:
+        a_plus, a_minus = fn.halfspace_stiffness(grid)
+    else:
+        stiffness = fn.stiffness_matrix(grid)
+
+    def system(wv, lamv):
+        a = _merit_stiffness(grid, lamv) if bordered else stiffness
+        field = DiscreteField(grid, wv)
+        r = (a @ wv - fn.weighted_force(field, alpha, p))[free]
+        c = float(wv @ (a_plus @ wv) - wv @ (a_minus @ wv)) if bordered else 0.0
+        return a, field, r, c, math.hypot(float(np.linalg.norm(r)), c)
+
     w = u.values * merit ** (1.0 / (p - 2.0))
-    field = DiscreteField(grid, w)
-    defect = a @ w - fn.weighted_force(field, alpha, p)
-    best, best_norm = w.copy(), float(np.linalg.norm(defect[free]))
+    a, field, r, c, combined = system(w, lam)
     progressed = False
-    for _ in range(NEWTON_MAX):
+    for _ in range(BORDERED_NEWTON_MAX if bordered else NEWTON_MAX):
+        if combined <= 1e-12 * max(1.0, float(np.linalg.norm((a @ w)[free]))):
+            progressed = True
+            break
         jac = a - (p - 1.0) * fn.weighted_linearized_matrix(field, alpha, p)
+        if bordered:
+            d = ((a_plus - a_minus) @ w)[free]
         try:
-            delta = _lu(jac, free).solve(-defect[free])
+            lu = _lu(jac, free)
+            s1 = lu.solve(r)
+            s2 = lu.solve(d) if bordered else None
         except RuntimeError:
             break
-        if not np.all(np.isfinite(delta)):
+        del lu  # free this factor before the next step builds its own
+        dw, dlam = -s1, 0.0
+        if bordered:
+            # dw = -s1 - dlam s2 with dlam from the linearized constraint
+            # c + b . dw = 0, b = 2 d its gradient.
+            b = 2.0 * d
+            denom = float(b @ s2)
+            if denom == 0.0 or not math.isfinite(denom):
+                break
+            dlam = (c - float(b @ s1)) / denom
+            dw = -s1 - dlam * s2
+        if not (np.all(np.isfinite(dw)) and math.isfinite(dlam)):
             break
-        scale = np.linalg.norm(delta)
-        if scale == 0.0:
-            break
-        step = min(1.0, 0.5 * np.linalg.norm(w[free]) / scale)
+        step = min(1.0, 0.5 * float(np.linalg.norm(w[free]) / max(np.linalg.norm(dw), 1e-300)))
         accepted = None
         for _ in range(8):
-            trial = w.copy()
-            trial[free] += step * delta
-            tfield = DiscreteField(grid, trial)
-            tdefect = a @ trial - fn.weighted_force(tfield, alpha, p)
-            tnorm = float(np.linalg.norm(tdefect[free]))
-            if math.isfinite(tnorm) and tnorm < best_norm:
-                accepted = (trial, tfield, tdefect, tnorm)
+            wt = w.copy()
+            wt[free] += step * dw
+            lt = float(np.clip(lam + step * dlam, -0.999, 0.999)) if bordered else None
+            trial = system(wt, lt)
+            if math.isfinite(trial[-1]) and trial[-1] < combined:
+                accepted = (wt, lt, *trial)
                 break
             step *= 0.5
         if accepted is None:
             break
-        w, field, defect, best_norm = accepted
-        best = w.copy()
+        w, lam, a, field, r, c, combined = accepted
         progressed = True
-        if best_norm <= 1e-13 * max(1.0, float(np.linalg.norm((a @ w)[free]))):
-            break
     if not progressed:
         return None
-    return _clamped_normalized(grid, best, alpha, p)
+    out = _clamped_normalized(grid, w, alpha, p)
+    return None if out is None else (out, lam)
 
 
 def _descend(
@@ -235,20 +287,24 @@ def _descend(
     p: float,
     init: DiscreteField,
     *,
-    lam: float = 0.0,
     tol: float = DEFAULT_TOL,
-    maxit: int = MAX_ITERATIONS,
-    polish: bool = True,
     project: bool = False,
 ) -> _DescentState:
     """Monotone quotient descent; the workhorse behind every solver.
 
+    The descent stops once the gradient is below GRADIENT_FACTOR times the
+    quotient and the last step lowered the quotient by at most tol
+    relative, or after MAX_ITERATIONS steps.
+
     With project=True every trial candidate is rebalanced onto the equal
-    half-energy set before the merit comparison, which turns the loop into
+    half-energy set before the comparison, which turns the loop into
     projected descent over that set (used by solve_sigma, where a plain
-    step polarizes instantly because the balanced state is a saddle).
+    step polarizes instantly because the balanced state is a saddle). Its
+    Newton teleports are then bordered by the constraint, and the final
+    unbordered polish, which would leave the set, is skipped: solve_sigma
+    polishes and certifies the projected minimizer itself.
     """
-    a, factor = _merit_matrix(grid, lam)
+    a, factor = stiffness_factor(grid)
     free = factor.free
     mask = grid.dirichlet_mask
     balance_op = fn.halfspace_stiffness(grid) if project else None
@@ -262,7 +318,7 @@ def _descend(
     u = feasible(init.values)
     if u is None:
         raise DegenerateFieldError("initial guess has no weighted mass")
-    merit, ep, em = _merit_energy(u, lam)
+    merit, ep, em = _merit_energy(u)
     rel_change = math.inf
     iterations = 0
     gnorm = math.inf
@@ -298,7 +354,7 @@ def _descend(
 
     last_polish = -POLISH_EVERY
     polish_gap = POLISH_EVERY
-    while iterations < maxit:
+    while iterations < MAX_ITERATIONS:
         g = masked_gradient(u, merit)
         gnorm = stopping_norm(u, g)
         if gnorm <= GRADIENT_FACTOR * merit and rel_change <= tol:
@@ -312,21 +368,15 @@ def _descend(
         # back off exponentially so a stubborn basin does not eat the
         # iteration budget in factorizations.
         slow = rel_change <= POLISH_TRIGGER
-        if polish and p > 2.0 and slow and iterations - last_polish >= polish_gap:
+        if p > 2.0 and slow and iterations - last_polish >= polish_gap:
             last_polish = iterations
-            if project:
-                r0 = (a @ u.values - merit * force(u))[free]
-                dvec = 0.5 * balance_normal(u)[free]
-                dd = float(dvec @ dvec)
-                lam_ls = 0.0 if dd == 0.0 else float(
-                    np.clip(-(dvec @ r0) / dd, -0.999, 0.999)
-                )
-                got = _bordered_newton(grid, u, lam_ls, merit, alpha, p)
-                polished = None if got is None else _rebalance(got[0], alpha, p)
-            else:
-                polished = _newton_polish(grid, a, u, merit, alpha, p)
+            lam = _multiplier(grid, u, merit, force(u)) if project else None
+            got = newton(grid, u, merit, alpha, p, lam)
+            polished = None if got is None else got[0]
+            if polished is not None and project:
+                polished = _rebalance(polished, alpha, p)
             if polished is not None:
-                pm, pep, pem = _merit_energy(polished, lam)
+                pm, pep, pem = _merit_energy(polished)
                 if pm < merit * (1.0 - 1e-15):
                     accepted = (polished, pm, pep, pem)
                     polish_gap = POLISH_EVERY
@@ -344,7 +394,7 @@ def _descend(
                     else:
                         trial = feasible((1.0 - t) * u.values + t * cand.values)
                     if trial is not None:
-                        tm, tep, tem = _merit_energy(trial, lam)
+                        tm, tep, tem = _merit_energy(trial)
                         if tm < merit:
                             accepted = (trial, tm, tep, tem)
                             break
@@ -365,7 +415,7 @@ def _descend(
             for _ in range(12):
                 trial = feasible(u.values + s * d)
                 if trial is not None:
-                    tm, tep, tem = _merit_energy(trial, lam)
+                    tm, tep, tem = _merit_energy(trial)
                     if tm < merit:
                         accepted = (trial, tm, tep, tem)
                         break
@@ -379,12 +429,12 @@ def _descend(
         u, merit, ep, em = trial, tm, tep, tem
 
     residual = _level_defect(a, u, merit, alpha, p)
-    if polish and p > 2.0 and residual > 1e-3 * RESIDUAL_TOL:
-        polished = _newton_polish(grid, a, u, merit, alpha, p)
-        if polished is not None:
-            pm, pep, pem = _merit_energy(polished, lam)
+    if not project and p > 2.0 and residual > 1e-3 * RESIDUAL_TOL:
+        got = newton(grid, u, merit, alpha, p)
+        if got is not None:
+            pm, pep, pem = _merit_energy(got[0])
             if pm <= merit * (1.0 + 1e-9):
-                u, merit, ep, em = polished, pm, pep, pem
+                u, merit, ep, em = got[0], pm, pep, pem
                 residual = _level_defect(a, u, merit, alpha, p)
         gnorm = float(np.linalg.norm(masked_gradient(u, merit)))
     converged = gnorm <= GRADIENT_FACTOR * merit and residual <= RESIDUAL_TOL
@@ -506,74 +556,6 @@ def solve_ground(
     return best
 
 
-def _bordered_newton(grid, u: DiscreteField, lam: float, merit: float,
-                     alpha: float, p: float):
-    """Damped Newton on the joint system A(lam) w = F(w), E_plus = E_minus.
-
-    The balanced minimizer is a saddle of each fixed-multiplier merit
-    functional, so descent alone slides off the constraint; solving for
-    the field and the multiplier together converges quadratically onto the
-    balanced stationary pair. Block elimination keeps the cost at two
-    triangular solves per step. Returns (field, lam) or None.
-    """
-    free = fn.free_indices(grid)
-    a_plus, a_minus = fn.halfspace_stiffness(grid)
-    w = u.values * merit ** (1.0 / (p - 2.0))
-
-    def system(wv, lamv):
-        a = ((1.0 + lamv) * a_plus + (1.0 - lamv) * a_minus).tocsr()
-        field = DiscreteField(grid, wv)
-        r = (a @ wv - fn.weighted_force(field, alpha, p))[free]
-        c = float(wv @ (a_plus @ wv) - wv @ (a_minus @ wv))
-        return a, field, r, c, math.hypot(float(np.linalg.norm(r)), c)
-
-    a, field, r, c, combined = system(w, lam)
-    best = (w.copy(), lam)
-    progressed = False
-    for _ in range(16):
-        scale = max(1.0, float(np.linalg.norm((a @ w)[free])))
-        if combined <= 1e-12 * scale:
-            progressed = True
-            break
-        jac = a - (p - 1.0) * fn.weighted_linearized_matrix(field, alpha, p)
-        d = ((a_plus - a_minus) @ w)[free]
-        b = 2.0 * d
-        try:
-            lu = _lu(jac, free)
-            s1, s2 = lu.solve(r), lu.solve(d)
-        except RuntimeError:
-            break
-        denom = float(b @ s2)
-        if denom == 0.0 or not math.isfinite(denom):
-            break
-        dlam = (c - float(b @ s1)) / denom
-        dw = -s1 - dlam * s2
-        if not (np.all(np.isfinite(dw)) and math.isfinite(dlam)):
-            break
-        step = min(1.0, 0.5 * float(np.linalg.norm(w[free]) / max(np.linalg.norm(dw), 1e-300)))
-        accepted = None
-        for _ in range(8):
-            wt = w.copy()
-            wt[free] += step * dw
-            lt = float(np.clip(lam + step * dlam, -0.999, 0.999))
-            at, ft, rt, ct, combt = system(wt, lt)
-            if math.isfinite(combt) and combt < combined:
-                accepted = (wt, lt, at, ft, rt, ct, combt)
-                break
-            step *= 0.5
-        if accepted is None:
-            break
-        w, lam, a, field, r, c, combined = accepted
-        best = (w.copy(), lam)
-        progressed = True
-    if not progressed:
-        return None
-    out = _clamped_normalized(grid, best[0], alpha, p)
-    if out is None:
-        return None
-    return out, best[1]
-
-
 def _two_bump_init(grid: AxiGrid) -> DiscreteField:
     """Bubbles at both boundaries carrying equal Dirichlet energy."""
     inner = instanton(InstantonParams(INIT_EPSILON, 1), grid)
@@ -627,109 +609,49 @@ def solve_sigma(
 ) -> SolveResult:
     """Minimize subject to E_plus = E_minus (level T).
 
-    Multiplier iteration: minimize the merit quotient with stiffness
-    (1 + c) A_plus + (1 - c) A_minus for the current multiplier c, read
-    off the constraint defect, and move c along it with gain 10 / level
-    (halved on overshoot). Because the balanced state is a saddle of every
-    merit functional, the inner descents are kept short and warm-started
-    from the previous iterate rebalanced onto the constraint set; a final
-    Newton solve at frozen c lands on the balanced stationary point, and
-    is kept only if the constraint survives. Convergence requires
-    |E_plus - E_minus| <= ctol * (E_plus + E_minus) on top of inner
-    stationarity.
+    Projected descent from two boundary bubbles of equal energy rebalances
+    every trial onto the balanced set, so the iterate never leaves it. Its
+    minimizer is stationary only along that set: a Newton solve bordered by
+    the constraint, started from the least-squares multiplier c, then
+    solves for the field and c together. Certification evaluates the
+    gradient and the residual of the merit functional with stiffness
+    (1 + c) A_plus + (1 - c) A_minus at the Newton result, or at the
+    projected minimizer with the estimated c if no Newton step succeeded.
+    Convergence requires that stationarity and
+    |E_plus - E_minus| <= ctol * (E_plus + E_minus); ctol must be finite
+    and positive.
     """
     _check_grid(params, grid, AxiGrid)
+    if not (math.isfinite(ctol) and ctol > 0.0):
+        raise ConfigurationError(f"ctol must be finite and positive, got {ctol}")
     alpha, p = params.alpha, params.p
 
-    lam = 0.0
-    state = _descend(
-        grid, alpha, p, _two_bump_init(grid), lam=lam, tol=tol,
-        polish=True, project=True,
-    )
-    iterations = state.iterations
-    mu = 10.0 / max(state.merit, np.finfo(float).tiny)
-    prev_defect = math.inf
-    clamped_streak = 0
-    diverged = False
-    for _ in range(SIGMA_MAX_OUTER):
-        defect = state.e_plus - state.e_minus
-        total = state.e_plus + state.e_minus
-        if abs(defect) <= ctol * total:
-            break
-        if math.isfinite(prev_defect):
-            overshoot = abs(defect) > abs(prev_defect)
-            if overshoot and math.copysign(1, defect) != math.copysign(1, prev_defect):
-                mu *= 0.5
-        lam_new = float(np.clip(lam + mu * defect, -MULTIPLIER_CLAMP, MULTIPLIER_CLAMP))
-        if abs(lam_new) == MULTIPLIER_CLAMP:
-            clamped_streak += 1
-            if clamped_streak >= 6:
-                diverged = True
-                break
-        else:
-            clamped_streak = 0
-        prev_defect = defect
-        lam = lam_new
-        state = _descend(
-            grid, alpha, p, state.field, lam=lam, tol=tol,
-            polish=True, project=True,
-        )
-        iterations += state.iterations
+    state = _descend(grid, alpha, p, _two_bump_init(grid), tol=tol, project=True)
+    field = state.field
+    lam = _multiplier(grid, field, state.merit, fn.weighted_force(field, alpha, p))
+    if p > 2.0:
+        got = newton(grid, field, state.merit, alpha, p, lam)
+        if got is not None:
+            field, lam = got
 
-    # The projected minimizer is stationary only along the balanced set;
-    # certification recovers the multiplier that makes it stationary in
-    # the full space and reports gradient and residual against that merit.
-    d_op = None
-
-    def _certified(field, lam_value):
-        nonlocal d_op
-        if d_op is None:
-            a_plus, a_minus = fn.halfspace_stiffness(grid)
-            d_op = (a_plus, a_minus)
-        a = ((1.0 + lam_value) * d_op[0] + (1.0 - lam_value) * d_op[1]).tocsr()
-        pm, pep, pem = _merit_energy(field, lam_value)
-        g = 2.0 * (a @ field.values - pm * fn.weighted_force(field, alpha, p))
-        g[grid.dirichlet_mask] = 0.0
-        return _DescentState(
-            field=field,
-            merit=pm,
-            e_plus=pep,
-            e_minus=pem,
-            gnorm=float(np.linalg.norm(g)),
-            residual=_level_defect(a, field, pm, alpha, p),
-            iterations=0,
-            converged=False,
-        )
-
-    def _lam_estimate(field, merit):
-        free = fn.free_indices(grid)
-        a_plus, a_minus = fn.halfspace_stiffness(grid)
-        r0 = ((a_plus + a_minus) @ field.values
-              - merit * fn.weighted_force(field, alpha, p))[free]
-        d = ((a_plus - a_minus) @ field.values)[free]
-        dd = float(d @ d)
-        return 0.0 if dd == 0.0 else float(np.clip(-(d @ r0) / dd, -0.999, 0.999))
-
-    lam = _lam_estimate(state.field, state.merit)
-    polished = None
-    if p > 2.0 and not diverged:
-        polished = _bordered_newton(grid, state.field, lam, state.merit, alpha, p)
-    state = _certified(*polished) if polished is not None else _certified(
-        state.field, lam
+    merit, ep, em = _merit_energy(field, lam)
+    a = _merit_stiffness(grid, lam)
+    g = 2.0 * (a @ field.values - merit * fn.weighted_force(field, alpha, p))
+    g[grid.dirichlet_mask] = 0.0
+    gnorm = float(np.linalg.norm(g))
+    residual = _level_defect(a, field, merit, alpha, p)
+    stationary = gnorm <= GRADIENT_FACTOR * merit and residual <= RESIDUAL_TOL
+    certified = _DescentState(
+        field=field,
+        merit=merit,
+        e_plus=ep,
+        e_minus=em,
+        gnorm=gnorm,
+        residual=residual,
+        iterations=state.iterations,
+        converged=stationary and abs(ep - em) <= ctol * (ep + em),
     )
-    defect = state.e_plus - state.e_minus
-    total = state.e_plus + state.e_minus
-    constraint_ok = abs(defect) <= ctol * total
-    stationary = (
-        state.gnorm <= GRADIENT_FACTOR * state.merit
-        and state.residual <= RESIDUAL_TOL
-    )
-    state = replace(
-        state,
-        iterations=iterations,
-        converged=stationary and constraint_ok and not diverged,
-    )
-    return _result(params, state, "T", "two-bump")
+    return _result(params, certified, "T", "two-bump")
 
 
 def solve_lambda(

@@ -41,7 +41,7 @@ from .errors import (
     DegenerateFieldError,
 )
 from .geometry import DiscreteField, ProblemParams
-from .minimize import _newton_polish, stiffness_factor
+from .minimize import newton, stiffness_factor
 
 MIN_SEGMENTS = 9
 REDISTRIBUTE_EVERY = 20
@@ -334,12 +334,8 @@ def mountain_pass(
                     # argmax node is offered the teleport on every sweep:
                     # reuse the last outcome while the node is unchanged.
                     if polish_memo[0] is not nodes[k]:
-                        polish_memo = (
-                            nodes[k],
-                            _newton_polish(
-                                grid, matrix, nodes[k], float(quotients[k]), alpha, p
-                            ),
-                        )
+                        got = newton(grid, nodes[k], float(quotients[k]), alpha, p)
+                        polish_memo = (nodes[k], None if got is None else got[0])
                     polished = polish_memo[1]
                     if polished is not None:
                         energy = fn.dirichlet_energy(polished)

@@ -227,6 +227,10 @@ class TestExitCodes:
     def test_supercritical_p(self):
         assert main(["solve-radial", "--alpha", "1", "--p", "7"]) == EXIT_INVALID
 
+    def test_nonpositive_ctol(self):
+        argv = ["solve-sigma", "--alpha", "1", "--p", "4", *SMALL_AXI, "--ctol", "0"]
+        assert main(argv) == EXIT_INVALID
+
     def test_descending_sweep_values(self):
         rc = main(["sweep", "--axis", "alpha", "--values", "8,4,2", "--p", "4"])
         assert rc == EXIT_INVALID

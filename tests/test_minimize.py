@@ -146,6 +146,27 @@ class TestSigma:
         with pytest.raises(ConfigurationError):
             solve_sigma(params_alpha1_p4, radial_grid)
 
+    @pytest.mark.parametrize("ctol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_invalid_ctol(self, axi_grid_small, params_alpha1_p4, ctol):
+        with pytest.raises(ConfigurationError):
+            solve_sigma(params_alpha1_p4, axi_grid_small, ctol=ctol)
+
+    def test_newton_keeps_the_border(self, axi_grid_small, params_alpha1_p4, monkeypatch):
+        # an unbordered Newton step leaves the balanced set, so every
+        # Newton solve of the constrained problem carries the constraint
+        borders = []
+        real = minimize.newton
+
+        def recording(grid, u, merit, alpha, p, lam=None):
+            borders.append(lam)
+            return real(grid, u, merit, alpha, p, lam)
+
+        monkeypatch.setattr(minimize, "newton", recording)
+        result = solve_sigma(params_alpha1_p4, axi_grid_small)
+        assert result.converged
+        assert borders
+        assert all(lam is not None for lam in borders)
+
 
 class TestLambda:
     def test_interior_near_critical(self, axi_grid):
