@@ -38,24 +38,12 @@ DEFAULT_NR = hn.DEFAULT_NR
 DEFAULT_NTHETA = hn.DEFAULT_NTHETA
 MPASS_TOL = 1e-5
 
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
-_FALSE_WORDS = frozenset({"0", "false", "no", "off"})
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; the contract wants 3."""
 
     def error(self, message):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
-
-
-def _parse_bool(text: str) -> bool:
-    word = text.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def read_config(path: str) -> dict[str, str]:

@@ -4,35 +4,50 @@ The object under study is the quotient
 
     R(u) = int |grad u|^2 dx / (int psi |u|^p dx)^(2/p)
 
-over fields vanishing on |x| = 1 and |x| = 3. Stiffness forms are exact for
-the chosen bases. A radial P1 cell contributes
+over fields vanishing on |x| = 1 and |x| = 3. Both reductions share one
+tensor-product discretization. Nodal values form a matrix U, radial nodes
+by angular nodes (r-major), and each (grid, alpha) has two 1-D factors:
 
-    omega_{N-1} (b^N - a^N) / (N h^2) * (du)^2,
+* radial: the hat basis B_r at the flattened per-cell Gauss rules of
+  .weight, with weights dr * psi * measure (omega_{N-1} r^{N-1} on a
+  radial grid, 2 pi r^2 on an axisymmetric one); points whose weight
+  flushed to 0 are dropped;
+* angular: the hat basis B_theta at the theta_rule points, with weights
+  dtheta * sin(theta).
 
-and an axisymmetric Q1 cell (r, theta) in [a,b] x [t0,t1] is integrated in
-closed moments: with local coordinates xi, eta and differences
-P = u10 - u00, Q = u00 - u10 - u01 + u11, S = u01 - u00,
+A radial grid is the case of one angular node, whose one point has value
+1 and weight 1. With w the outer product of the two weights and
+V = B_r U B_theta^T the field at the points, the weighted kernels are
+
+    P = sum w |V|^p,    F = B_r^T (w |V|^{p-2} V) B_theta,
+    M = (radial node-pair products) (w |V|^{p-2}) (angular ones)^T,
+
+and the stiffness, exact for the P1/Q1 basis, is
+
+    A = K_r (x) M_theta + M_r (x) K_theta.
+
+K_r has cells omega (b^n - a^n) / (n h^2) on [a, b], M_r is
+2 pi int phi_i phi_j dr, and M_theta, K_theta integrate sin(theta)
+through the moments I_k = int eta^k sin(theta) dtheta of each angular
+cell, evaluated by a fixed positive-weight Gauss rule in eta (exact to
+roundoff, positive semidefinite by construction). A radial grid has
+M_theta = 1 and K_theta = 0, so only K_r remains, and sum(I0) = 2 makes a
+theta-constant field reproduce its radial energy and weighted norms up to
+roundoff (embed_radial). A and M share one CSR
+layout per grid, the Kronecker product of the factors' tridiagonal
+patterns. Per-cell energies use the same cell integrals in closed form;
+for a Q1 cell with P = u10 - u00, Q = u00 - u10 - u01 + u11, S = u01 - u00,
 
     int |grad u|^2 dmu = c1 (P^2 I0 + 2 P Q I1 + Q^2 I2)
                        + c2 (S^2 + S Q + Q^2 / 3),
 
-where c1 = 2 pi (b^3 - a^3) / (3 h_r^2), c2 = 2 pi h_r I0 / h_t^2, and
-I_k = int eta^k sin(theta) dtheta over the cell. The I_k are evaluated by a
-fixed positive-weight Gauss rule in eta, which is exact to roundoff for
-these analytic integrands and keeps every cell matrix positive
-semidefinite by construction. A theta-constant field therefore reproduces
-its radial energy up to the roundoff of sum(I0) = 2.
-
-Weighted integrals share the per-cell radial Gauss rules of .weight
-between the two reductions, so the weighted p-norm is consistent across
-embed_radial as well. Critical points of R with the normalization
-int psi |u|^p = 1 and E = R(u) satisfy the discrete Euler-Lagrange system
+with c1 the cell's K_r entry and c2 = 2 pi h_r I0 / h_t^2. Critical
+points of R with int psi |u|^p = 1 and E = R(u) satisfy
 
     A u = E F(u),      F_i(u) = int psi |u|^{p-2} u phi_i,
 
-and the rescaled field v = u / sqrt(E) solves the level form
-A v = E^{p/2} F(v); residual_pde reports the 2-norm of that defect over
-free nodes.
+and v = u / sqrt(E) solves the level form A v = E^{p/2} F(v);
+residual_pde reports the 2-norm of that defect over free nodes.
 """
 
 from __future__ import annotations
@@ -110,48 +125,78 @@ def _eta_moments(theta_nodes: np.ndarray):
     return i0, i1, i2
 
 
-class _RadialQuadrature:
-    """Radial quadrature of one node set and one alpha as an evaluation operator.
+def _tridiagonal(diag0, off, diag1) -> np.ndarray:
+    """CSR data of the 1-D matrix assembled from symmetric cell matrices.
 
-    Every cell's Gauss rule from .weight is flattened into one point list;
-    points whose weight flushed to 0 are dropped, since they contribute
-    nothing to any weighted integral (most of them at large alpha). basis
-    maps nodal values to the points (1 - xi and xi on the cell's two end
-    nodes), weight holds the dr-weight times psi times the radial measure,
-    and cell_sum adds point values up per cell. Shared by the radial and
-    axisymmetric integral paths; point_weight is weight broadcastable
-    against _point_values, times the theta factors colfac on an
-    axisymmetric grid (colfac None on a radial one).
+    Cell c holds [[diag0, off], [off, diag1]] on nodes (c, c + 1). Its four
+    entries sit at positions 3c .. 3c + 3 of the row-major tridiagonal
+    pattern, so neighbouring cells share the diagonal position 3c + 3. With
+    no cells the pattern is the one diagonal entry of a single node.
+    """
+    data = np.zeros(3 * len(off) + 1)
+    data[0:-1:3] += diag0
+    data[1::3] = off
+    data[2::3] = off
+    data[3::3] += diag1
+    return data
+
+
+def _tridiagonal_pattern(n_nodes: int):
+    """(rows, cols) of the positions _tridiagonal fills, for n_nodes nodes."""
+    pos = np.arange(3 * n_nodes - 2)
+    rows = (pos + 1) // 3
+    return rows, rows + np.array([0, 1, -1])[pos % 3]
+
+
+class _Factor:
+    """One 1-D factor at its quadrature points.
+
+    basis maps nodal values to the points, weight holds the point weights,
+    and pairs the products phi_a phi_b at every point for each node pair of
+    the tridiagonal pattern, in the order of _tridiagonal.
     """
 
-    def __init__(self, nodes: np.ndarray, alpha: float, measure, colfac=None):
-        n_cells = len(nodes) - 1
-        per_cell = [radial_rule(nodes[i], nodes[i + 1], alpha) for i in range(n_cells)]
-        cell = np.repeat(np.arange(n_cells), [len(p) for p, _ in per_cell])
-        pts = np.concatenate([p for p, _ in per_cell])
-        wts = np.concatenate([w for _, w in per_cell])
-        weight = wts * weight_eval(pts, WeightSpec(alpha)) * measure(pts)
-        keep = weight != 0.0
-        cell, pts, weight = cell[keep], pts[keep], weight[keep]
-        self.xi = (pts - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
+    def __init__(self, basis, weight: np.ndarray, pairs):
+        self.basis = basis
         self.weight = weight
-        n_q = len(pts)
-        rows = np.concatenate([np.arange(n_q), np.arange(n_q)])
-        cols = np.concatenate([cell, cell + 1])
-        vals = np.concatenate([1.0 - self.xi, self.xi])
-        self.basis = sp.csr_matrix((vals, (rows, cols)), shape=(n_q, n_cells + 1))
-        self.basis_t = self.basis.T.tocsr()
-        self.cell_sum = sp.csr_matrix(
-            (np.ones(n_q), (cell, np.arange(n_q))), shape=(n_cells, n_q)
-        )
-        if colfac is None:
-            self.point_weight = weight
-        else:
-            self.point_weight = weight[:, None, None] * colfac[None, :, :]
+        self.pairs = pairs
+        self.n_nodes = basis.shape[1]
+
+
+# The angular factor of a radial grid: one node, one point of weight 1.
+# Dense, since a 1 x 1 product costs numpy far less than a sparse one.
+_ONE_NODE = _Factor(np.ones((1, 1)), np.ones(1), np.ones((1, 1)))
+
+
+def _hat_factor(nodes: np.ndarray, rules, weigh) -> _Factor:
+    """Hat basis of nodes at the per-cell rules [(points, weights), ...].
+
+    weigh(points, weights) gives the point weights; points whose weight is
+    0 (flushed by the weight's underflow floor) contribute to no integral
+    and are dropped, most of them at large alpha.
+    """
+    cell = np.repeat(np.arange(len(rules)), [len(q) for q, _ in rules])
+    pts = np.concatenate([q for q, _ in rules])
+    weight = weigh(pts, np.concatenate([w for _, w in rules]))
+    keep = weight != 0.0
+    cell, pts, weight = cell[keep], pts[keep], weight[keep]
+    xi = (pts - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
+    q = np.arange(len(pts))
+    basis = sp.csr_matrix(
+        (np.concatenate([1.0 - xi, xi]), (np.tile(q, 2), np.concatenate([cell, cell + 1]))),
+        shape=(len(pts), len(nodes)),
+    )
+    products = np.concatenate([(1.0 - xi) * (1.0 - xi), (1.0 - xi) * xi,
+                               xi * (1.0 - xi), xi * xi])
+    pairs = sp.csr_matrix(
+        (products, (np.concatenate([3 * cell + k for k in range(4)]), np.tile(q, 4))),
+        shape=(3 * len(nodes) - 2, len(pts)),
+    )
+    return _Factor(basis, weight, pairs)
 
 
 class _Assembly:
-    """Lazily built per-grid data: stiffness pieces, quadrature operators and
+    """Lazily built per-grid data: the two factors, the stiffness pieces and
     whatever else callers cache per grid through grid_cached.
 
     Holds no reference to its grid, so the weak-keyed _ASSEMBLY entry goes
@@ -163,33 +208,44 @@ class _Assembly:
         # needs the stiffness), and concurrent callers wait for one build.
         self.lock = threading.RLock()
         self.built: dict = {}
-        self.colfac = None
         if isinstance(grid, RadialGrid):
-            nodes, n = grid.nodes, grid.dim
-            self.nodes = nodes
-            h = np.diff(nodes)
-            self.k_cell = (
-                surface_measure(n) * (nodes[1:] ** n - nodes[:-1] ** n) / (n * h * h)
-            )
-            self.measure = lambda r: surface_measure(n) * r ** (n - 1)
+            r, n = grid.nodes, grid.dim
+            h = np.diff(r)
+            self.k_r = surface_measure(n) * (r[1:] ** n - r[:-1] ** n) / (n * h * h)
+            self.measure = lambda x: surface_measure(n) * x ** (n - 1)
+            self.angular = _ONE_NODE
+            self.m_theta, self.k_theta = np.ones(1), np.zeros(1)
         else:
             r, t = grid.r_nodes, grid.theta_nodes
-            self.nodes = r
-            hr = np.diff(r)
-            ht = np.diff(t)
-            jr = (r[1:] ** 3 - r[:-1] ** 3) / 3.0
+            hr, ht = np.diff(r), np.diff(t)
+            self.k_r = 2.0 * math.pi * ((r[1:] ** 3 - r[:-1] ** 3) / 3.0) / (hr * hr)
+            self.measure = lambda x: 2.0 * math.pi * x * x
             i0, i1, i2 = _eta_moments(t)
             self.i0, self.i1, self.i2 = i0, i1, i2
-            self.c1 = 2.0 * math.pi * jr / (hr * hr)
-            self.c2 = 2.0 * math.pi * np.outer(hr, i0 / (ht * ht))
-            self.measure = lambda r: 2.0 * math.pi * r * r
-            # theta_rule is affine per cell, so every cell shares the local
-            # points eta; colfac[k, j] = w_kj sin(theta_kj)
-            per_cell = [theta_rule(t[j], t[j + 1]) for j in range(grid.nt)]
-            pts = np.stack([q for q, _ in per_cell], axis=1)
-            wts = np.stack([w for _, w in per_cell], axis=1)
-            self.eta = (pts[:, 0] - t[0]) / ht[0]
-            self.colfac = wts * np.sin(pts)
+            kt = i0 / (ht * ht)
+            self.c2 = 2.0 * math.pi * np.outer(hr, kt)
+            self.angular = _hat_factor(
+                t,
+                [theta_rule(t[j], t[j + 1]) for j in range(grid.nt)],
+                lambda pts, wts: wts * np.sin(pts),
+            )
+            self.m_theta = _tridiagonal(i0 - 2.0 * i1 + i2, i1 - i2, i2)
+            self.k_theta = _tridiagonal(kt, -kt, kt)
+        self.r_nodes = r
+        # radial factor of the angular term, 2 pi int phi_i phi_j dr per cell
+        self.m_r = 2.0 * math.pi * np.diff(r)
+        self.n = grid.n_nodes
+        # CSR layout of kron(radial pattern, angular pattern): position k
+        # holds the pair product with flat index order[k]
+        n_t = self.angular.n_nodes
+        rr, rc = _tridiagonal_pattern(len(r))
+        tr, tc = _tridiagonal_pattern(n_t)
+        rows = (rr[:, None] * n_t + tr[None, :]).ravel()
+        cols = (rc[:, None] * n_t + tc[None, :]).ravel()
+        self.order = np.lexsort((cols, rows))
+        self.indices = cols[self.order].astype(np.int32)
+        counts = np.bincount(rows, minlength=self.n)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
     def cached(self, key, build):
         """The value stored under key, built by build() on first use."""
@@ -200,10 +256,27 @@ class _Assembly:
                 self.built[key] = value
             return value
 
-    def quadrature(self, alpha: float) -> _RadialQuadrature:
-        return self.cached(
-            ("quadrature", alpha),
-            lambda: _RadialQuadrature(self.nodes, alpha, self.measure, self.colfac),
+    def radial(self, alpha: float) -> _Factor:
+        """The radial factor for weight exponent alpha."""
+        def build():
+            spec = WeightSpec(alpha)
+            r = self.r_nodes
+            rules = [radial_rule(r[i], r[i + 1], alpha) for i in range(len(r) - 1)]
+            return _hat_factor(
+                r, rules, lambda pts, wts: wts * weight_eval(pts, spec) * self.measure(pts)
+            )
+
+        return self.cached(("quadrature", alpha), build)
+
+    def tensor_matrix(self, pairs: np.ndarray) -> sp.csr_matrix:
+        """The matrix whose entry at ((i, j), (k, l)) is pairs[ik, jl].
+
+        pairs has one row per radial node pair and one column per angular
+        node pair, each in the order of _tridiagonal.
+        """
+        return sp.csr_matrix(
+            (np.ravel(pairs)[self.order], self.indices.copy(), self.indptr.copy()),
+            shape=(self.n, self.n),
         )
 
 
@@ -238,7 +311,7 @@ def cell_energies(u: DiscreteField) -> np.ndarray:
     asm = _assembly(u.grid)
     if isinstance(u.grid, RadialGrid):
         d = np.diff(u.values)
-        return asm.k_cell * d * d
+        return asm.k_r * d * d
     u2 = u.values_2d
     u00 = u2[:-1, :-1]
     u10 = u2[1:, :-1]
@@ -247,7 +320,7 @@ def cell_energies(u: DiscreteField) -> np.ndarray:
     p = u10 - u00
     q = u00 - u10 - u01 + u11
     s = u01 - u00
-    term1 = asm.c1[:, None] * (
+    term1 = asm.k_r[:, None] * (
         p * p * asm.i0[None, :] + 2.0 * p * q * asm.i1[None, :] + q * q * asm.i2[None, :]
     )
     term2 = asm.c2 * (s * s + s * q + q * q / 3.0)
@@ -273,110 +346,57 @@ def halfspace_energies(u: DiscreteField) -> tuple[float, float]:
 def stiffness_matrix(grid) -> sp.csr_matrix:
     """Full symmetric stiffness matrix (no boundary-condition rows removed)."""
     asm = _assembly(grid)
-    return asm.cached("stiffness", lambda: _build_stiffness(grid, asm, which="all"))
+    return asm.cached("stiffness", lambda: _build_stiffness(asm, 0, len(asm.k_r)))
 
 
 def halfspace_stiffness(grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(A_plus, A_minus) assembled from the cells of each half-annulus."""
     asm = _assembly(grid)
+    mid = grid.mid_index
     return asm.cached(
         "halfspace_stiffness",
-        lambda: (
-            _build_stiffness(grid, asm, which="plus"),
-            _build_stiffness(grid, asm, which="minus"),
-        ),
+        lambda: (_build_stiffness(asm, mid, len(asm.k_r)), _build_stiffness(asm, 0, mid)),
     )
 
 
-def _cell_mask(grid, which: str) -> np.ndarray:
-    mid = grid.mid_index
-    if isinstance(grid, RadialGrid):
-        mask = np.ones(grid.n_cells, dtype=bool)
-    else:
-        mask = np.ones((grid.nr, grid.nt), dtype=bool)
-    if which == "plus":
-        mask[:mid] = False
-    elif which == "minus":
-        mask[mid:] = False
-    return mask
+def _build_stiffness(asm: _Assembly, lo: int, hi: int) -> sp.csr_matrix:
+    """K_r (x) M_theta + M_r (x) K_theta over the radial cells lo .. hi - 1.
 
-
-def _build_stiffness(grid, asm: _Assembly, which: str) -> sp.csr_matrix:
-    mask = _cell_mask(grid, which)
-    if isinstance(grid, RadialGrid):
-        k = np.where(mask, asm.k_cell, 0.0)
-        i = np.arange(grid.n_cells)
-        rows = np.concatenate([i, i, i + 1, i + 1])
-        cols = np.concatenate([i, i + 1, i, i + 1])
-        vals = np.concatenate([k, -k, -k, k])
-        n = grid.n_nodes
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    nr, nt = grid.nr, grid.nt
-    stride = nt + 1
-    ci, cj = np.meshgrid(np.arange(nr), np.arange(nt), indexing="ij")
-    base = ci * stride + cj
-    corner_nodes = (base, base + stride, base + 1, base + stride + 1)
-    # Coefficient vectors of P, Q, S on corners ordered (00, 10, 01, 11).
-    pv = (-1.0, 1.0, 0.0, 0.0)
-    qv = (1.0, -1.0, -1.0, 1.0)
-    sv = (-1.0, 0.0, 1.0, 0.0)
-    c1 = np.where(mask, asm.c1[:, None], 0.0)
-    c2 = np.where(mask, asm.c2, 0.0)
-    i0, i1, i2 = asm.i0[None, :], asm.i1[None, :], asm.i2[None, :]
-    rows, cols, vals = [], [], []
-    for a in range(4):
-        for b in range(4):
-            block = c1 * (
-                i0 * pv[a] * pv[b]
-                + i1 * (pv[a] * qv[b] + qv[a] * pv[b])
-                + i2 * qv[a] * qv[b]
-            ) + c2 * (
-                sv[a] * sv[b]
-                + 0.5 * (sv[a] * qv[b] + qv[a] * sv[b])
-                + qv[a] * qv[b] / 3.0
-            )
-            rows.append(corner_nodes[a].ravel())
-            cols.append(corner_nodes[b].ravel())
-            vals.append(block.ravel())
-    n = grid.n_nodes
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+    The other cells keep their entries as explicit zeros, so every piece
+    shares the one layout.
+    """
+    k_r, m_r = np.zeros_like(asm.k_r), np.zeros_like(asm.m_r)
+    k_r[lo:hi], m_r[lo:hi] = asm.k_r[lo:hi], asm.m_r[lo:hi]
+    radial_stiffness = _tridiagonal(k_r, -k_r, k_r)
+    radial_mass = _tridiagonal(m_r / 3.0, m_r / 6.0, m_r / 3.0)
+    return asm.tensor_matrix(
+        np.outer(radial_stiffness, asm.m_theta) + np.outer(radial_mass, asm.k_theta)
     )
-    return mat.tocsr()
 
 
 def free_indices(grid) -> np.ndarray:
     return np.nonzero(~grid.dirichlet_mask)[0]
 
 
-def _point_values(u: DiscreteField, asm: _Assembly, quad: _RadialQuadrature):
-    """u at the quadrature points: (n_q,) radial, (n_q, n_eta, nt) axisymmetric.
+def _at_points(u: DiscreteField, alpha: float, p: float):
+    """(assembly, radial factor, angular factor, V^T) of u.
 
-    Sum factorization: interpolate in r through quad.basis, then in theta
-    with the cell-local points eta shared by every angular cell.
+    V = B_r U B_theta^T holds u at the tensor quadrature points; it is
+    returned transposed, angular points along the rows, so that every
+    kernel reduces its larger axis on contiguous rows.
     """
-    if isinstance(u.grid, RadialGrid):
-        return quad.basis @ u.values
-    ur = quad.basis @ u.values_2d
-    eta = asm.eta[None, :, None]
-    return (1.0 - eta) * ur[:, None, :-1] + eta * ur[:, None, 1:]
-
-
-def _check_exponent(p: float) -> None:
     if p < 2.0:
         raise ConfigurationError(f"p must be >= 2, got {p!r}")
+    asm = _assembly(u.grid)
+    rad, ang = asm.radial(alpha), asm.angular
+    values = u.values.reshape(-1, ang.n_nodes)
+    return asm, rad, ang, ang.basis @ (rad.basis @ values).T
 
 
 def weighted_pnorm_p(u: DiscreteField, alpha: float, p: float) -> float:
     """int psi_alpha |u|^p dx over the annulus."""
-    _check_exponent(p)
-    asm = _assembly(u.grid)
-    quad = asm.quadrature(alpha)
-    vals = np.abs(_point_values(u, asm, quad)) ** p
-    if isinstance(u.grid, RadialGrid):
-        return float(quad.weight @ vals)
-    return float(quad.weight @ np.tensordot(vals, asm.colfac, axes=([1, 2], [0, 1])))
+    _, rad, ang, vt = _at_points(u, alpha, p)
+    return float((ang.weight @ np.abs(vt) ** p) @ rad.weight)
 
 
 def weighted_force(u: DiscreteField, alpha: float, p: float) -> np.ndarray:
@@ -385,18 +405,11 @@ def weighted_force(u: DiscreteField, alpha: float, p: float) -> np.ndarray:
     Uses the same quadrature as weighted_pnorm_p, so <F(u), u> equals the
     p-norm integral to roundoff.
     """
-    _check_exponent(p)
-    asm = _assembly(u.grid)
-    quad = asm.quadrature(alpha)
-    vals = _point_values(u, asm, quad)
-    g = quad.point_weight * np.abs(vals) ** (p - 2.0) * vals
-    if isinstance(u.grid, RadialGrid):
-        return quad.basis_t @ g
-    # transpose of the theta interpolation, then of the radial one
-    ut = np.zeros((g.shape[0], g.shape[2] + 1))
-    ut[:, :-1] += np.einsum("qkj,k->qj", g, 1.0 - asm.eta)
-    ut[:, 1:] += np.einsum("qkj,k->qj", g, asm.eta)
-    return (quad.basis_t @ ut).ravel()
+    _, rad, ang, vt = _at_points(u, alpha, p)
+    g = np.abs(vt) ** (p - 2.0)
+    g *= np.multiply.outer(ang.weight, rad.weight)
+    g *= vt
+    return np.ravel(rad.basis.T @ (ang.basis.T @ g).T)
 
 
 def angular_energy(u: DiscreteField) -> float:
@@ -436,43 +449,13 @@ def weighted_linearized_matrix(u: DiscreteField, alpha: float, p: float) -> sp.c
 
     The derivative of the force is F'(u) = (p - 1) M(u) for u >= 0; the
     level-form Newton step uses it. Shares the quadrature of
-    weighted_pnorm_p.
+    weighted_pnorm_p and the layout of the stiffness, entries included
+    where the density vanishes.
     """
-    _check_exponent(p)
-    asm = _assembly(u.grid)
-    quad = asm.quadrature(alpha)
-    n = u.grid.n_nodes
-    dens = quad.point_weight * np.abs(_point_values(u, asm, quad)) ** (p - 2.0)
-    sr = (1.0 - quad.xi, quad.xi)
-    rows, cols, vals = [], [], []
-    if isinstance(u.grid, RadialGrid):
-        idx = np.arange(u.grid.n_cells)
-        for a in range(2):
-            for b in range(2):
-                rows.append(idx + a)
-                cols.append(idx + b)
-                vals.append(quad.cell_sum @ (dens * sr[a] * sr[b]))
-    else:
-        nt = u.grid.nt
-        stride = nt + 1
-        st = (1.0 - asm.eta, asm.eta)
-        # theta pairs summed first: dt[a][b][q, j] = sum_k st_a st_b dens
-        dt = [[np.einsum("qkj,k->qj", dens, st[a] * st[b]) for b in range(2)]
-              for a in range(2)]
-        base = np.arange(u.grid.nr)[:, None] * stride + np.arange(nt)[None, :]
-        # corner index a: bit 0 is the radial side, bit 1 the angular side
-        node = (base, base + stride, base + 1, base + stride + 1)
-        for a in range(4):
-            for b in range(4):
-                weighted = (sr[a % 2] * sr[b % 2])[:, None] * dt[a // 2][b // 2]
-                rows.append(node[a].ravel())
-                cols.append(node[b].ravel())
-                vals.append((quad.cell_sum @ weighted).ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
+    asm, rad, ang, vt = _at_points(u, alpha, p)
+    density = np.abs(vt) ** (p - 2.0)
+    density *= np.multiply.outer(ang.weight, rad.weight)
+    return asm.tensor_matrix(rad.pairs @ (ang.pairs @ density).T)
 
 
 def normalize(u: DiscreteField, alpha: float, p: float) -> DiscreteField:

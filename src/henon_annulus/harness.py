@@ -87,6 +87,11 @@ class SweepSpec:
         for name in self.levels:
             if name not in LEVEL_CHOICES:
                 raise ConfigurationError(f"unknown level {name!r}")
+        # refused before any solve, by the checks T, beta and the
+        # concentration report would apply at every point
+        mz.check_ctol(self.ctol)
+        InstantonParams(self.eps, 0)
+        CutoffSpec(self.delta)
 
     def point_params(self, value: float) -> ProblemParams:
         if self.axis == "alpha":

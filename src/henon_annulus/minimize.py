@@ -601,6 +601,12 @@ def _rebalance(u: DiscreteField, alpha: float, p: float) -> DiscreteField | None
     return _clamped_normalized(grid, u.values, alpha, p)
 
 
+def check_ctol(ctol: float) -> None:
+    """Refuse a balance tolerance that is not finite and positive."""
+    if not (math.isfinite(ctol) and ctol > 0.0):
+        raise ConfigurationError(f"ctol must be finite and positive, got {ctol}")
+
+
 def solve_sigma(
     params: ProblemParams,
     grid: AxiGrid,
@@ -622,8 +628,7 @@ def solve_sigma(
     and positive.
     """
     _check_grid(params, grid, AxiGrid)
-    if not (math.isfinite(ctol) and ctol > 0.0):
-        raise ConfigurationError(f"ctol must be finite and positive, got {ctol}")
+    check_ctol(ctol)
     alpha, p = params.alpha, params.p
 
     state = _descend(grid, alpha, p, _two_bump_init(grid), tol=tol, project=True)

@@ -33,8 +33,6 @@ from .errors import ConfigurationError, ContractViolationError, DomainError
 from .geometry import AxiGrid, DiscreteField, RadialGrid
 
 BUMP_PROFILES = ("smooth",)
-# The instanton cutoff ramp has slope 2|log eps|; documented bound constant.
-CUTOFF_SLOPE_BOUND = 2.5
 
 
 def _bump(t):

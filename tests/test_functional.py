@@ -10,12 +10,14 @@ from henon_annulus import (
     ConfigurationError,
     DegenerateFieldError,
     DiscreteField,
+    InstantonParams,
     RadialGrid,
     build_axi_grid,
     build_radial_grid,
     dirichlet_energy,
     functional_gradient,
     halfspace_energies,
+    instanton,
     normalize,
     rayleigh,
     residual_pde,
@@ -290,12 +292,34 @@ class TestHalfspaceDecomposition:
         assert em > 0.0
         assert ep == 0.0
 
-    def test_stiffness_splits(self, axi_grid):
-        u = _bump_axi(axi_grid)
-        a_full = fn.stiffness_matrix(axi_grid)
-        a_plus, a_minus = fn.halfspace_stiffness(axi_grid)
+    @pytest.mark.parametrize("kind", ["axi", "radial-3", "radial-4"])
+    def test_stiffness_splits(self, kind, axi_grid):
+        if kind == "axi":
+            grid, u = axi_grid, _bump_axi(axi_grid)
+        else:
+            grid = build_radial_grid(400, "graded", dim=int(kind[-1]))
+            u = _bump_radial(grid)
+        a_full = fn.stiffness_matrix(grid)
+        a_plus, a_minus = fn.halfspace_stiffness(grid)
         v = u.values
         total = float(v @ (a_full @ v))
         split = float(v @ (a_plus @ v)) + float(v @ (a_minus @ v))
         assert split == pytest.approx(total, rel=1e-14)
         assert total == pytest.approx(dirichlet_energy(u), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["axi", "radial-3"])
+    def test_linearized_matrix_keeps_stiffness_pattern(self, kind, axi_grid):
+        # M(u) of a compactly supported field vanishes off the support, yet
+        # keeps the stiffness's (row, col) pattern, so every Newton Jacobian
+        # A - (p - 1) M has one pattern and one SuperLU ordering per grid
+        if kind == "axi":
+            grid = axi_grid
+            u = instanton(InstantonParams(1e-3, 0), grid)
+        else:
+            grid = build_radial_grid(400, "graded")
+            u = DiscreteField.sampled(grid, lambda r: np.clip(0.1 - np.abs(r - 2.8), 0.0, None))
+        a = fn.stiffness_matrix(grid)
+        m = fn.weighted_linearized_matrix(u, 1.0, 5.5)
+        assert 0 < np.count_nonzero(m.data) < m.nnz
+        assert np.array_equal(m.indptr, a.indptr)
+        assert np.array_equal(m.indices, a.indices)

@@ -10,6 +10,7 @@ from henon_annulus import (
     ConfigurationError,
     ContractViolationError,
     DiscreteField,
+    DomainError,
     ResultRecord,
     SweepSpec,
     chain_check,
@@ -54,6 +55,24 @@ class TestSweepSpec:
             SweepSpec(axis="alpha", values=(1.0,), fixed=4.0, levels=())
         with pytest.raises(ConfigurationError):
             SweepSpec(axis="alpha", values=(1.0,), fixed=4.0, levels=("ground",))
+
+    @pytest.mark.parametrize(
+        "name,value,error",
+        [
+            ("ctol", 0.0, ConfigurationError),
+            ("ctol", -1e-4, ConfigurationError),
+            ("ctol", math.nan, ConfigurationError),
+            ("ctol", math.inf, ConfigurationError),
+            ("eps", 0.0, DomainError),
+            ("eps", 0.5, DomainError),
+            ("delta", 0.0, ConfigurationError),
+            ("delta", 0.5, ConfigurationError),
+        ],
+    )
+    def test_refuses_malformed_tolerances(self, name, value, error):
+        # refused up front, whichever levels the sweep asks for
+        with pytest.raises(error):
+            SweepSpec(axis="alpha", values=(1.0,), fixed=4.0, **{name: value})
 
 
 @pytest.fixture(scope="module")
