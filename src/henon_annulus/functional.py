@@ -11,7 +11,8 @@ by angular nodes (r-major), and each (grid, alpha) has two 1-D factors:
 * radial: the hat basis B_r at the flattened per-cell Gauss rules of
   .weight, with weights dr * psi * measure (omega_{N-1} r^{N-1} on a
   radial grid, 2 pi r^2 on an axisymmetric one); points whose weight
-  flushed to 0 are dropped;
+  flushed to 0 are dropped, and points lighter than 2^-100 of the
+  heaviest form the factor's tail (see below);
 * angular: the hat basis B_theta at the theta_rule points, with weights
   dtheta * sin(theta).
 
@@ -20,9 +21,22 @@ A radial grid is the case of one angular node, whose one point has value
 V = B_r U B_theta^T the field at the points, the weighted kernels are
 
     P = sum w |V|^p,    F = B_r^T (w |V|^{p-2} V) B_theta,
-    M = (radial node-pair products) (w |V|^{p-2}) (angular ones)^T,
+    M = (radial node-pair products) (w |V|^{p-2}) (angular ones)^T.
 
-and the stiffness, exact for the P1/Q1 basis, is
+At large alpha most radial points sit in the tail: near r = 2 the
+weight is hundreds of orders of magnitude below its maximum. Each kernel
+evaluates the head, the other points, and then bounds the tail. Hat
+functions interpolate convexly, so |V| <= m at every tail point, with m
+the largest |U| on the radial nodes of the tail's cells; with W_t the sum
+of the tail's radial weights times the sum of the angular weights, the
+tail moves any entry of P, F or M by at most W_t m^k, k = p, p - 1 and
+p - 2. A kernel adds the tail unless that bound is <= 2^-64 times the
+largest magnitude of its head result, so every kernel equals the full
+rule to within 2^-64 of its largest entry (and is the full rule on a
+field that lives in the tail). Where no point is that light, as at
+alpha = 1, the head is the whole rule and no bound is taken.
+
+The stiffness, exact for the P1/Q1 basis, is
 
     A = K_r (x) M_theta + M_r (x) K_theta.
 
@@ -70,6 +84,12 @@ from .geometry import (
 from .weight import WeightSpec, radial_rule, theta_rule, weight_eval
 
 LEVEL_TAGS = ("raw", "S_rad", "S", "T", "beta")
+
+# A radial point lighter than TAIL_WEIGHT times the factor's heaviest goes
+# to its tail, which a kernel adds only when the tail's bound exceeds
+# TAIL_SHARE of the largest entry of the rest.
+TAIL_WEIGHT = 2.0**-100
+TAIL_SHARE = 2.0**-64
 
 _ETA_X, _ETA_W = np.polynomial.legendre.leggauss(8)
 _ETA_NODES = 0.5 * (_ETA_X + 1.0)
@@ -151,16 +171,45 @@ def _tridiagonal_pattern(n_nodes: int):
 class _Factor:
     """One 1-D factor at its quadrature points.
 
-    basis maps nodal values to the points, weight holds the point weights,
-    and pairs the products phi_a phi_b at every point for each node pair of
-    the tridiagonal pattern, in the order of _tridiagonal.
+    basis maps nodal values to the points (basis_t is its transpose, kept
+    in CSR), weight holds the point weights, and pairs the products
+    phi_a phi_b at every point for each node pair of the tridiagonal
+    pattern, in the order of _tridiagonal. A radial factor may carry a
+    _Tail of further points, which the kernels add only when it can matter.
     """
 
     def __init__(self, basis, weight: np.ndarray, pairs):
         self.basis = basis
+        self.basis_t = basis.T.tocsr() if sp.issparse(basis) else basis.T
         self.weight = weight
         self.pairs = pairs
         self.n_nodes = basis.shape[1]
+        self.tail = None
+
+
+@dataclass(frozen=True)
+class _Tail:
+    """The radial points lighter than TAIL_WEIGHT times the heaviest.
+
+    factor holds them; rows are the radial nodes of the cells they lie in,
+    and mass is the sum of their weights times the sum of the angular
+    weights. A hat basis interpolates convexly, so |V| <= m = max|U[rows]|
+    at every tail point, and the tail adds at most mass * m^k to any entry
+    of a kernel whose integrand is w |V|^k times hat functions.
+    """
+
+    factor: _Factor
+    rows: np.ndarray
+    mass: float
+
+    def needed(self, values: np.ndarray, k: float, head) -> bool:
+        """Whether the tail's bound exceeds TAIL_SHARE of head's largest entry.
+
+        An overflowed or NaN bound compares false, so it counts as needed.
+        """
+        with np.errstate(over="ignore"):
+            bound = self.mass * np.max(np.abs(values[self.rows])) ** k
+        return not bound <= TAIL_SHARE * np.max(np.abs(head))
 
 
 # The angular factor of a radial grid: one node, one point of weight 1.
@@ -168,18 +217,9 @@ class _Factor:
 _ONE_NODE = _Factor(np.ones((1, 1)), np.ones(1), np.ones((1, 1)))
 
 
-def _hat_factor(nodes: np.ndarray, rules, weigh) -> _Factor:
-    """Hat basis of nodes at the per-cell rules [(points, weights), ...].
-
-    weigh(points, weights) gives the point weights; points whose weight is
-    0 (flushed by the weight's underflow floor) contribute to no integral
-    and are dropped, most of them at large alpha.
-    """
-    cell = np.repeat(np.arange(len(rules)), [len(q) for q, _ in rules])
-    pts = np.concatenate([q for q, _ in rules])
-    weight = weigh(pts, np.concatenate([w for _, w in rules]))
-    keep = weight != 0.0
-    cell, pts, weight = cell[keep], pts[keep], weight[keep]
+def _hat_factor(nodes: np.ndarray, pts: np.ndarray, weight: np.ndarray) -> _Factor:
+    """Hat basis of nodes at points pts (each strictly inside its cell)."""
+    cell = np.searchsorted(nodes, pts) - 1
     xi = (pts - nodes[cell]) / (nodes[cell + 1] - nodes[cell])
     q = np.arange(len(pts))
     basis = sp.csr_matrix(
@@ -224,11 +264,10 @@ class _Assembly:
             self.i0, self.i1, self.i2 = i0, i1, i2
             kt = i0 / (ht * ht)
             self.c2 = 2.0 * math.pi * np.outer(hr, kt)
-            self.angular = _hat_factor(
-                t,
-                [theta_rule(t[j], t[j + 1]) for j in range(grid.nt)],
-                lambda pts, wts: wts * np.sin(pts),
-            )
+            rules = [theta_rule(t[j], t[j + 1]) for j in range(grid.nt)]
+            pts = np.concatenate([q for q, _ in rules])
+            wts = np.concatenate([w for _, w in rules])
+            self.angular = _hat_factor(t, pts, wts * np.sin(pts))
             self.m_theta = _tridiagonal(i0 - 2.0 * i1 + i2, i1 - i2, i2)
             self.k_theta = _tridiagonal(kt, -kt, kt)
         self.r_nodes = r
@@ -257,14 +296,29 @@ class _Assembly:
             return value
 
     def radial(self, alpha: float) -> _Factor:
-        """The radial factor for weight exponent alpha."""
+        """The radial factor for weight exponent alpha.
+
+        Points whose weight flushed to 0 (the weight's underflow floor)
+        contribute to no integral and are dropped, most of them at large
+        alpha; points lighter than TAIL_WEIGHT times the heaviest go to
+        the factor's tail.
+        """
         def build():
-            spec = WeightSpec(alpha)
             r = self.r_nodes
-            rules = [radial_rule(r[i], r[i + 1], alpha) for i in range(len(r) - 1)]
-            return _hat_factor(
-                r, rules, lambda pts, wts: wts * weight_eval(pts, spec) * self.measure(pts)
-            )
+            pts, wts = radial_rule(r[:-1], r[1:], alpha)
+            weight = wts * weight_eval(pts, WeightSpec(alpha)) * self.measure(pts)
+            keep = weight != 0.0
+            pts, weight = pts[keep], weight[keep]
+            light = weight < TAIL_WEIGHT * np.max(weight, initial=0.0)
+            head = _hat_factor(r, pts[~light], weight[~light])
+            if np.any(light):
+                tail = _hat_factor(r, pts[light], weight[light])
+                head.tail = _Tail(
+                    tail,
+                    np.unique(tail.basis.indices),
+                    float(np.sum(tail.weight)) * float(np.sum(self.angular.weight)),
+                )
+            return head
 
         return self.cached(("quadrature", alpha), build)
 
@@ -378,25 +432,36 @@ def free_indices(grid) -> np.ndarray:
     return np.nonzero(~grid.dirichlet_mask)[0]
 
 
-def _at_points(u: DiscreteField, alpha: float, p: float):
-    """(assembly, radial factor, angular factor, V^T) of u.
+def _guarded(kernel, u: DiscreteField, alpha: float, p: float, k: float):
+    """kernel over the radial factor's points for u.
 
-    V = B_r U B_theta^T holds u at the tensor quadrature points; it is
-    returned transposed, angular points along the rows, so that every
-    kernel reduces its larger axis on contiguous rows.
+    kernel(rad, ang, vt) evaluates on one radial factor, with
+    V = B_r U B_theta^T at its points given transposed, angular points
+    along the rows, so that every kernel reduces its larger axis on
+    contiguous rows. The tail is added when its bound, for an integrand
+    bounded by w |V|^k, is not negligible against the head's result.
     """
     if p < 2.0:
         raise ConfigurationError(f"p must be >= 2, got {p!r}")
     asm = _assembly(u.grid)
     rad, ang = asm.radial(alpha), asm.angular
     values = u.values.reshape(-1, ang.n_nodes)
-    return asm, rad, ang, ang.basis @ (rad.basis @ values).T
+
+    def run(factor):
+        return kernel(factor, ang, ang.basis @ (factor.basis @ values).T)
+
+    out = run(rad)
+    if rad.tail is not None and rad.tail.needed(values, k, out):
+        out = out + run(rad.tail.factor)
+    return out
 
 
 def weighted_pnorm_p(u: DiscreteField, alpha: float, p: float) -> float:
     """int psi_alpha |u|^p dx over the annulus."""
-    _, rad, ang, vt = _at_points(u, alpha, p)
-    return float((ang.weight @ np.abs(vt) ** p) @ rad.weight)
+    def kernel(rad, ang, vt):
+        return (ang.weight @ np.abs(vt) ** p) @ rad.weight
+
+    return float(_guarded(kernel, u, alpha, p, p))
 
 
 def weighted_force(u: DiscreteField, alpha: float, p: float) -> np.ndarray:
@@ -405,11 +470,13 @@ def weighted_force(u: DiscreteField, alpha: float, p: float) -> np.ndarray:
     Uses the same quadrature as weighted_pnorm_p, so <F(u), u> equals the
     p-norm integral to roundoff.
     """
-    _, rad, ang, vt = _at_points(u, alpha, p)
-    g = np.abs(vt) ** (p - 2.0)
-    g *= np.multiply.outer(ang.weight, rad.weight)
-    g *= vt
-    return np.ravel(rad.basis.T @ (ang.basis.T @ g).T)
+    def kernel(rad, ang, vt):
+        g = np.abs(vt) ** (p - 2.0)
+        g *= np.multiply.outer(ang.weight, rad.weight)
+        g *= vt
+        return np.ravel(rad.basis_t @ (ang.basis_t @ g).T)
+
+    return _guarded(kernel, u, alpha, p, p - 1.0)
 
 
 def angular_energy(u: DiscreteField) -> float:
@@ -452,10 +519,12 @@ def weighted_linearized_matrix(u: DiscreteField, alpha: float, p: float) -> sp.c
     weighted_pnorm_p and the layout of the stiffness, entries included
     where the density vanishes.
     """
-    asm, rad, ang, vt = _at_points(u, alpha, p)
-    density = np.abs(vt) ** (p - 2.0)
-    density *= np.multiply.outer(ang.weight, rad.weight)
-    return asm.tensor_matrix(rad.pairs @ (ang.pairs @ density).T)
+    def kernel(rad, ang, vt):
+        density = np.abs(vt) ** (p - 2.0)
+        density *= np.multiply.outer(ang.weight, rad.weight)
+        return rad.pairs @ (ang.pairs @ density).T
+
+    return _assembly(u.grid).tensor_matrix(_guarded(kernel, u, alpha, p, p - 2.0))
 
 
 def normalize(u: DiscreteField, alpha: float, p: float) -> DiscreteField:

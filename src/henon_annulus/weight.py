@@ -7,9 +7,17 @@ cusp at an edge get a Gauss-Jacobi rule that absorbs s^alpha exactly
 (plain Gauss converges like h^{alpha+1} there and never reaches
 quadrature accuracy for fractional alpha), smooth cells split into one
 log-graded subcell per e-fold of weight variation. The same radial rule
-backs the one and
-two dimensional assembly paths, so a theta-constant field integrates
-identically in either reduction up to roundoff.
+backs the one and two dimensional assembly paths, so a theta-constant
+field integrates identically in either reduction up to roundoff.
+
+radial_rule builds the rules of a whole grid in one vectorized pass:
+given arrays of cell edges it splits the cells straddling r = 2, counts
+every smooth cell's subcells at once, lays out all their subcell edges as
+one ragged linspace and places the Gauss points of all subcells with one
+broadcast. Only the (at most two) cusp cells run the Jacobi rule on
+their own. Each element sees the operations of the one-cell rule, with
+the logarithms taken by math.log as there, so the batch equals the
+concatenated one-cell rules bit for bit.
 
 Evaluation goes through exp(alpha * log|r - 2|); products smaller than the
 underflow floor are flushed to exactly 0 so downstream quotients never see
@@ -83,44 +91,81 @@ def weight_eval(r, spec: WeightSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def subdivision_count(a: float, b: float, alpha: float) -> int:
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log elementwise.
+
+    numpy's vectorized log may differ from the C library's by an ulp, and
+    the rules have always been built on math.log; keeping it makes a batch
+    of cells reproduce the one-cell rules bit for bit.
+    """
+    return np.array([math.log(v) for v in x.tolist()], dtype=float)
+
+
+def subdivision_count(a, b, alpha: float):
     """Subcells needed on [a, b]: one per e-fold of weight variation.
 
     psi changes by exp(alpha * |ln d(b) - ln d(a)|) across the cell
     (d = distance to r = 2); log-graded subcells hold that to one e-fold
     each, which a 4-point Gauss rule resolves to ~1e-9 relative. Cells
     with the cusp at an edge report the cap; radial_rule never sends
-    those here (the Jacobi rule owns them).
+    those here (the Jacobi rule owns them). a and b may be arrays of
+    cell edges, which gives an int array of counts.
     """
-    if alpha == 0.0:
-        return 1
-    da = abs(a - MID_RADIUS)
-    db = abs(b - MID_RADIUS)
-    lo, hi = min(da, db), max(da, db)
-    if lo == 0.0:
-        return MAX_SUBCELLS
-    log_width = math.log(hi / lo)
-    need = max(
-        alpha * log_width / VARIATION_PER_SUBCELL,
-        log_width / LOG_WIDTH_PER_SUBCELL,
-    )
-    return min(max(1, math.ceil(need)), MAX_SUBCELLS)
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    da = np.abs(np.atleast_1d(np.asarray(a, dtype=float)) - MID_RADIUS)
+    db = np.abs(np.atleast_1d(np.asarray(b, dtype=float)) - MID_RADIUS)
+    lo, hi = np.minimum(da, db), np.maximum(da, db)
+    count = np.ones(lo.shape, dtype=int)
+    if alpha != 0.0:
+        count[:] = MAX_SUBCELLS
+        off = lo != 0.0
+        log_width = _log(hi[off] / lo[off])
+        need = np.maximum(
+            alpha * log_width / VARIATION_PER_SUBCELL,
+            log_width / LOG_WIDTH_PER_SUBCELL,
+        )
+        count[off] = np.minimum(np.maximum(1, np.ceil(need)), MAX_SUBCELLS)
+    return int(count[0]) if scalar else count
 
 
-def _smooth_rule(a: float, b: float, alpha: float, refine: int = 1):
-    nsub = subdivision_count(a, b, alpha) * max(int(refine), 1)
-    if nsub == 1 or alpha == 0.0:
-        edges = np.linspace(a, b, nsub + 1)
-    else:
-        # grade subcell edges log-uniformly in the distance to the cusp,
-        # equalizing the weight variation each subcell absorbs
-        da = abs(a - MID_RADIUS)
-        db = abs(b - MID_RADIUS)
-        d_edges = np.exp(np.linspace(math.log(da), math.log(db), nsub + 1))
-        edges = MID_RADIUS - d_edges if a < MID_RADIUS else MID_RADIUS + d_edges
-        edges[0], edges[-1] = a, b
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
+def _ragged_linspace(start, stop, num):
+    """np.linspace(start[i], stop[i], num[i]) for every i, concatenated.
+
+    The same operations as np.linspace, element by element, so each piece
+    equals its own linspace bit for bit.
+    """
+    last = np.cumsum(num) - 1
+    first = last - (num - 1)
+    k = np.arange(last[-1] + 1, dtype=float) - np.repeat(first, num)
+    step = (stop - start) / (num - 1)
+    y = k * np.repeat(step, num)
+    y += np.repeat(start, num)
+    y[last] = stop
+    return y, first, last
+
+
+def _smooth_rule(a, b, nsub, alpha: float):
+    """Gauss rules on nsub subcells of each cell [a_i, b_i], in cell order.
+
+    Subcell edges are graded log-uniformly in the distance to the cusp,
+    equalizing the weight variation each subcell absorbs; a cell of one
+    subcell, or any cell at alpha = 0, is split uniformly.
+    """
+    graded = (nsub > 1) & (alpha != 0.0)
+    start, stop = a.copy(), b.copy()
+    start[graded] = _log(np.abs(a[graded] - MID_RADIUS))
+    stop[graded] = _log(np.abs(b[graded] - MID_RADIUS))
+    edges, first, last = _ragged_linspace(start, stop, nsub + 1)
+    on = np.repeat(graded, nsub + 1)
+    d_edges = np.exp(edges[on])
+    inner = np.repeat(a < MID_RADIUS, nsub + 1)[on]
+    edges[on] = np.where(inner, MID_RADIUS - d_edges, MID_RADIUS + d_edges)
+    edges[first], edges[last] = a, b
+    # consecutive edges of one cell bound a subcell
+    sub = np.ones(len(edges) - 1, dtype=bool)
+    sub[last[:-1]] = False
+    mid = (0.5 * (edges[:-1] + edges[1:]))[sub]
+    half = (0.5 * (edges[1:] - edges[:-1]))[sub]
     pts = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
     wts = (half[:, None] * _GAUSS_W[None, :]).ravel()
     return pts, wts
@@ -146,23 +191,43 @@ def _kink_rule(a: float, b: float, alpha: float, refine: int = 1):
     return pts, wts
 
 
-def radial_rule(a: float, b: float, alpha: float, refine: int = 1):
+def radial_rule(a, b, alpha: float, refine: int = 1):
     """Gauss points and dr-weights on [a, b], adapted to the weight.
 
     Cells touching r = 2 use the Jacobi rule; straddling cells split
     there first. refine raises the rule order (cusp cells) or multiplies
     the subcell count (smooth cells) for quadrature-saturation checks.
+    a and b may be arrays of cell edges: the result is then every cell's
+    rule, concatenated in cell order, each equal bit for bit to the rule
+    of that cell alone.
     """
-    if not b > a:
-        raise ConfigurationError(f"empty radial cell [{a!r}, {b!r}]")
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    empty = ~(b > a)
+    if np.any(empty):
+        k = int(np.argmax(empty))
+        raise ConfigurationError(f"empty radial cell [{a[k]!r}, {b[k]!r}]")
     refine = max(int(refine), 1)
-    if a < MID_RADIUS < b:
-        pa, wa = radial_rule(a, MID_RADIUS, alpha, refine)
-        pb, wb = radial_rule(MID_RADIUS, b, alpha, refine)
-        return np.concatenate([pa, pb]), np.concatenate([wa, wb])
-    if alpha > 0.0 and (a == MID_RADIUS or b == MID_RADIUS):
-        return _kink_rule(a, b, alpha, refine)
-    return _smooth_rule(a, b, alpha, refine)
+    # a cell straddling the cusp becomes the two pieces either side of it
+    pieces = 1 + ((a < MID_RADIUS) & (MID_RADIUS < b))
+    lo, hi = np.repeat(a, pieces), np.repeat(b, pieces)
+    split = (np.cumsum(pieces) - 1)[pieces == 2]
+    hi[split - 1] = MID_RADIUS
+    lo[split] = MID_RADIUS
+    kink = (alpha > 0.0) & ((lo == MID_RADIUS) | (hi == MID_RADIUS))
+    smooth = ~kink
+    nsub = subdivision_count(lo[smooth], hi[smooth], alpha) * refine
+    sizes = np.full(len(lo), GAUSS_ORDER * refine)
+    sizes[smooth] = GAUSS_ORDER * nsub
+    ends = np.cumsum(sizes)
+    pts, wts = np.empty(int(np.sum(sizes))), np.empty(int(np.sum(sizes)))
+    if np.any(smooth):
+        at = np.repeat(smooth, sizes)
+        pts[at], wts[at] = _smooth_rule(lo[smooth], hi[smooth], nsub, alpha)
+    for k in np.flatnonzero(kink):
+        cut = slice(ends[k] - sizes[k], ends[k])
+        pts[cut], wts[cut] = _kink_rule(lo[k], hi[k], alpha, refine)
+    return pts, wts
 
 
 def theta_rule(t0: float, t1: float, refine: int = 1):

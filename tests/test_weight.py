@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from henon_annulus import ConfigurationError, DomainError, build_radial_grid
+from henon_annulus import ConfigurationError, DomainError, build_axi_grid, build_radial_grid
 from henon_annulus.weight import (
     WeightSpec,
     cell_weighted_integral,
@@ -102,6 +102,12 @@ class TestRules:
         assert subdivision_count(1.2, 1.25, 200.0) > subdivision_count(1.2, 1.25, 2.0)
         assert subdivision_count(1.7, 1.75, 40.0) > subdivision_count(1.2, 1.25, 40.0)
         assert subdivision_count(1.2, 1.25, 0.0) == 1
+        # on arrays of cell edges, the counts of the cells one by one
+        a = np.array([1.0, 1.2, 1.7, 1.9, 2.0, 2.5])
+        b = np.array([1.2, 1.25, 1.75, 2.0, 2.1, 3.0])
+        for alpha in (0.0, 2.0, 40.0, 200.0):
+            got = subdivision_count(a, b, alpha)
+            assert got.tolist() == [subdivision_count(x, y, alpha) for x, y in zip(a, b)]
 
     def test_kink_rule_weights_restore_weighted_rule(self):
         # the dr-weights times psi at the points integrate s^alpha * poly
@@ -122,7 +128,36 @@ class TestRules:
         with pytest.raises(ConfigurationError):
             radial_rule(2.0, 2.0, 1.0)
         with pytest.raises(ConfigurationError):
+            radial_rule(np.array([1.0, 2.0]), np.array([2.0, 2.0]), 1.0)
+        with pytest.raises(ConfigurationError):
             theta_rule(1.0, 0.5)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+class TestBatchedRule:
+    """radial_rule on arrays of cell edges against one call per cell."""
+
+    NODES = {
+        "radial-2000": lambda: build_radial_grid(2000, "graded").nodes,
+        "axi-48x16": lambda: build_axi_grid(48, 16, "graded-polar").r_nodes,
+    }
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 20.0, 80.0, 320.0])
+    @pytest.mark.parametrize("grid", sorted(NODES))
+    def test_bitwise_equal_to_per_cell_rules(self, grid, alpha, refine):
+        nodes = self.NODES[grid]()
+        rules = [radial_rule(a, b, alpha, refine) for a, b in zip(nodes[:-1], nodes[1:])]
+        pts, wts = radial_rule(nodes[:-1], nodes[1:], alpha, refine)
+        np.testing.assert_array_equal(_bits(pts), _bits(np.concatenate([q for q, _ in rules])))
+        np.testing.assert_array_equal(_bits(wts), _bits(np.concatenate([w for _, w in rules])))
+        # Gauss points lie strictly inside their cells, so a sorted search
+        # recovers each point's cell
+        cells = np.repeat(np.arange(len(rules)), [len(q) for q, _ in rules])
+        np.testing.assert_array_equal(np.searchsorted(nodes, pts) - 1, cells)
 
 
 class TestCellIntegrals:
