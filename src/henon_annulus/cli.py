@@ -7,6 +7,9 @@ set with --format csv) and communicates outcome through the exit code:
     2   a solve finished without meeting its convergence contract
     3   the request itself was invalid (bad flag, bad grid, bad spec file)
 
+--log-level sends the package's log records at that level and above to
+stderr (DEBUG shows each Newton teleport of the descent).
+
 A plain-text configuration file (``key = value`` per line, ``#`` comments)
 may supply any long flag via --config; values given on the command line
 win. Field snapshots requested with --snapshot are CSV nodal dumps with
@@ -16,8 +19,10 @@ header ``r,theta,value`` (radial snapshots drop the theta column).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
+import logging
 import sys
 import time
 
@@ -37,6 +42,7 @@ DEFAULT_RADIAL_CELLS = hn.DEFAULT_RADIAL_CELLS
 DEFAULT_NR = hn.DEFAULT_NR
 DEFAULT_NTHETA = hn.DEFAULT_NTHETA
 MPASS_TOL = 1e-5
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,6 +95,8 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default json)")
     common.add_argument("--config", default=None, help="key = value file supplying any flag; CLI wins")
     common.add_argument("--snapshot", default=None, help="write the solution field as CSV to this path")
+    common.add_argument("--log-level", dest="log_level", type=str.upper, choices=LOG_LEVELS,
+                        default=None, help="log to stderr from this level (default WARNING)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve-radial", parents=[common], help="radial minimizer S_rad")
@@ -373,14 +381,32 @@ _COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _stderr_logging(level: str):
+    """Send the package's log records at level and above to stderr."""
+    if level not in LOG_LEVELS:
+        raise ValueError(f"log level must be one of {', '.join(LOG_LEVELS)}, got {level!r}")
+    logger = logging.getLogger("henon_annulus")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.setLevel(level)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config_path = getattr(args, "config", None)
     try:
         args._config_table = read_config(config_path) if config_path else {}
-        handler = _COMMANDS[args.command]
-        return handler(args)
+        with _stderr_logging(_resolve(args, "log_level", str.upper, "WARNING")):
+            return _COMMANDS[args.command](args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

@@ -18,6 +18,7 @@ variational structure forces.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import threading
@@ -144,6 +145,7 @@ def _level_entry(result: mz.SolveResult, tol: float) -> dict:
         "iterations": result.report.iterations,
         "residual": result.report.residual,
         "init_tag": result.init_tag,
+        "stats": dataclasses.asdict(result.stats),
     }
 
 

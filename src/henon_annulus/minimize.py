@@ -25,15 +25,27 @@ nonnegative values (minimizers can be taken nonnegative), renormalize, and
 damp toward u_k until the quotient decreases. When that stalls, a
 preconditioned gradient step (direction -A^{-1} grad R) with backtracking
 takes over. Accepted steps never increase the quotient (checked, slack
-1e-12). Slow descent and converged iterates are polished by the damped
-Newton iteration of `newton` on the unit equation A w = F(w) with
-w = R^{1/(p-2)} u, which drives the level-form defect of the rescaled
-field to roundoff; on the balanced set the same iteration runs bordered by
-the constraint.
+1e-12). Line searches stop halving once the full step's quotient is
+within FLOOR_ULPS ulps of the iterate's: shorter steps would only decide
+roundoff.
+
+Once the descent slows to a crawl, a Newton teleport replaces its many
+small steps. Off the balanced set the teleport is descent-only
+(`_teleport`): Newton steps for R on the tangent of the sphere P = 1,
+bordered by F(u), whose matrix is shifted by mu A until the trial lowers
+the quotient (Levenberg-Marquardt in the A metric). It returns the lowest
+point it reached, so it cannot land on a saddle above the iterate, where
+the nearest critical point often is near the critical exponent. The plain
+damped Newton iteration of `newton` on the unit equation A w = F(w), with
+w = R^{1/(p-2)} u, goes to the nearest critical point of any index; it
+polishes converged iterates, drives the level-form defect of the rescaled
+field to roundoff, and on the balanced set runs bordered by the
+constraint as that set's teleport.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import threading
@@ -61,9 +73,34 @@ MAX_ITERATIONS = 10_000
 NEWTON_MAX = 8
 BORDERED_NEWTON_MAX = 16
 POLISH_EVERY = 25
-POLISH_TRIGGER = 1e-5
+POLISH_TRIGGER = 1e-4
+SHIFT_START = 0.01
+SHIFT_GROWTH = 4.0
+FLOOR_ULPS = 4
 INTERIOR_MARGIN = 1e-3
 INIT_EPSILON = 1e-2
+
+
+@dataclass
+class SolveStats:
+    """What the descent behind a result did, as counts only, so reruns
+    compare bitwise (solve_ground reports its winning start's descent).
+
+    Steps are accepted steps by kind; backtracks are the trial points a
+    line search evaluated after its first; a teleport is tried, then
+    accepted when it lowered the quotient and refused otherwise; shift
+    increases count the raises of its mu; LU factorizations count the
+    Newton matrices factored (the stiffness factor is shared per grid).
+    """
+
+    inverse_power_steps: int = 0
+    gradient_steps: int = 0
+    backtracks: int = 0
+    teleports_tried: int = 0
+    teleports_accepted: int = 0
+    teleports_refused: int = 0
+    shift_increases: int = 0
+    lu_factorizations: int = 0
 
 
 @dataclass(frozen=True)
@@ -83,6 +120,7 @@ class SolveResult:
     constraint_defect: float
     init_tag: str
     escaped: bool = False
+    stats: SolveStats = dataclasses.field(default_factory=SolveStats)
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,6 +138,7 @@ class SolveResult:
             "grid": self.report.grid,
             "init_tag": self.init_tag,
             "escaped": self.escaped,
+            "stats": dataclasses.asdict(self.stats),
         }
 
 
@@ -163,6 +202,7 @@ class _DescentState:
     residual: float
     iterations: int
     converged: bool
+    stats: SolveStats
 
 
 def _merit_energy(u: DiscreteField, lam: float = 0.0) -> tuple[float, float, float]:
@@ -193,8 +233,24 @@ def _multiplier(grid, u: DiscreteField, merit: float, force: np.ndarray) -> floa
     return 0.0 if dd == 0.0 else float(np.clip(-(d @ r0) / dd, -0.999, 0.999))
 
 
+def _bordered_step(lu, r: np.ndarray, col: np.ndarray, row: np.ndarray, c: float):
+    """Solve [J col; row^T 0] [dw; dlam] = -[r; c] with J's factor lu.
+
+    Block elimination: two solves, s1 = J^{-1} r and s2 = J^{-1} col, then
+    dlam from the border row and dw = -s1 - dlam s2. Returns None when the
+    Schur complement row . s2 vanishes or is not finite.
+    """
+    s1 = lu.solve(r)
+    s2 = lu.solve(col)
+    denom = float(row @ s2)
+    if denom == 0.0 or not math.isfinite(denom):
+        return None
+    dlam = (c - float(row @ s1)) / denom
+    return -s1 - dlam * s2, dlam
+
+
 def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
-           lam: float | None = None):
+           lam: float | None = None, *, stats: SolveStats | None = None):
     """Damped Newton iteration on A w = F(w) from w = merit^{1/(p-2)} u.
 
     Without lam, A is the plain stiffness. With lam, A = A(lam) and the
@@ -239,25 +295,23 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
             progressed = True
             break
         jac = a - (p - 1.0) * fn.weighted_linearized_matrix(field, alpha, p)
-        if bordered:
-            d = ((a_plus - a_minus) @ w)[free]
+        if stats is not None:
+            stats.lu_factorizations += 1
         try:
             lu = _lu(jac, free)
-            s1 = lu.solve(r)
-            s2 = lu.solve(d) if bordered else None
+            if bordered:
+                # the column is d/dlam of A(lam) w, the row the gradient
+                # 2 d of the constraint, linearized as c + row . dw = 0
+                d = ((a_plus - a_minus) @ w)[free]
+                got = _bordered_step(lu, r, d, 2.0 * d, c)
+            else:
+                got = (-lu.solve(r), 0.0)
         except RuntimeError:
             break
         del lu  # free this factor before the next step builds its own
-        dw, dlam = -s1, 0.0
-        if bordered:
-            # dw = -s1 - dlam s2 with dlam from the linearized constraint
-            # c + b . dw = 0, b = 2 d its gradient.
-            b = 2.0 * d
-            denom = float(b @ s2)
-            if denom == 0.0 or not math.isfinite(denom):
-                break
-            dlam = (c - float(b @ s1)) / denom
-            dw = -s1 - dlam * s2
+        if got is None:
+            break
+        dw, dlam = got
         if not (np.all(np.isfinite(dw)) and math.isfinite(dlam)):
             break
         step = min(1.0, 0.5 * float(np.linalg.norm(w[free]) / max(np.linalg.norm(dw), 1e-300)))
@@ -281,6 +335,76 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     return None if out is None else (out, lam)
 
 
+def _at_floor(trial_merit: float, merit: float) -> bool:
+    """True when a quotient sits within FLOOR_ULPS ulps of merit."""
+    return abs(trial_merit - merit) <= FLOOR_ULPS * math.ulp(merit)
+
+
+def _teleport(grid, u: DiscreteField, merit: float, alpha: float, p: float,
+              force, stats: SolveStats):
+    """Descent-only Newton iteration for R from u on the sphere P = 1.
+
+    Each step is Newton's for R on the tangent of P = 1 at the iterate,
+    bordered by F(u). On that tangent the Hessian of R is
+    2 (A - (p - 1) R M(u)), the Jacobian of the unit equation; the step
+    solves with it shifted to (1 + mu) A - (p - 1) R M(u), which is
+    Levenberg-Marquardt in the A metric. mu starts at 0. While the
+    clamped, normalized trial does not lower the quotient, mu is raised
+    (to at least SHIFT_START, by SHIFT_GROWTH), which bends the step toward
+    a short preconditioned gradient step; each accepted step divides it by
+    SHIFT_GROWTH. So a nearby saddle, where plain Newton converges, cannot
+    pull the iterate uphill. force is the descent's memoized F. The
+    iteration factors at most NEWTON_MAX matrices, one alive at a time,
+    and stops early once the residual is at roundoff or a refused trial is
+    at the quotient's roundoff floor.
+
+    Returns (best, reached, mu): best is (field, merit, e_plus, e_minus) of
+    the lowest point reached, or None unless it lies below the start by
+    more than 1e-15 relative; reached is the lowest quotient tried and mu
+    the last shift.
+    """
+    a = fn.stiffness_matrix(grid)
+    free = fn.free_indices(grid)
+    start, best, reached = merit, None, math.inf
+    mu = 0.0
+    curvature = None  # (p - 1) R M(u) at the current iterate
+    for _ in range(NEWTON_MAX):
+        f = force(u)
+        au = a @ u.values
+        r = (au - merit * f)[free]
+        if np.linalg.norm(r) <= 1e-12 * np.linalg.norm(au[free]):
+            break
+        if curvature is None:
+            curvature = ((p - 1.0) * merit) * fn.weighted_linearized_matrix(u, alpha, p)
+        stats.lu_factorizations += 1
+        try:
+            lu = _lu((1.0 + mu) * a - curvature, free)
+            got = _bordered_step(lu, r, f[free], f[free], 0.0)
+        except RuntimeError:
+            got = None
+        lu = None  # free this factor before the next step builds its own
+        trial = None
+        if got is not None and np.all(np.isfinite(got[0])):
+            vals = u.values.copy()
+            vals[free] += got[0]
+            trial = _clamped_normalized(grid, vals, alpha, p)
+        if trial is not None:
+            tm, tep, tem = _merit_energy(trial)
+            reached = min(reached, tm)
+            if tm < merit:
+                u, merit, curvature = trial, tm, None
+                best = (trial, tm, tep, tem)
+                mu /= SHIFT_GROWTH
+                continue
+            if _at_floor(tm, merit):
+                break
+        mu = max(SHIFT_START, SHIFT_GROWTH * mu)
+        stats.shift_increases += 1
+    if best is not None and best[1] >= start * (1.0 - 1e-15):
+        best = None
+    return best, reached, mu
+
+
 def _descend(
     grid,
     alpha: float,
@@ -294,13 +418,23 @@ def _descend(
 
     The descent stops once the gradient is below GRADIENT_FACTOR times the
     quotient and the last step lowered the quotient by at most tol
-    relative, or after MAX_ITERATIONS steps.
+    relative, or when no step lowers it, or after MAX_ITERATIONS steps.
+
+    Once a step lowers the quotient by at most POLISH_TRIGGER relative, an
+    iteration teleports instead: `_teleport`'s descent-only Newton
+    iteration, which returns the lowest point it reached or nothing. A
+    teleport that lowers the quotient counts as the iteration's step;
+    otherwise the iteration steps as usual, and the wait before the next
+    teleport doubles (from POLISH_EVERY iterations, at most 800) so a
+    stubborn basin does not eat the budget in factorizations. Each
+    teleport is logged at DEBUG: from, to, mu, accepted or refused.
 
     With project=True every trial candidate is rebalanced onto the equal
     half-energy set before the comparison, which turns the loop into
     projected descent over that set (used by solve_sigma, where a plain
     step polarizes instantly because the balanced state is a saddle). Its
-    Newton teleports are then bordered by the constraint, and the final
+    teleports are then `newton` bordered by the constraint, since the
+    balanced minimizer is a saddle of the quotient, and the final
     unbordered polish, which would leave the set, is skipped: solve_sigma
     polishes and certifies the projected minimizer itself.
     """
@@ -352,6 +486,7 @@ def _descend(
             return float(np.linalg.norm(g))
         return float(np.linalg.norm(g - (float(b @ g) / bb) * b))
 
+    stats = SolveStats()
     last_polish = -POLISH_EVERY
     polish_gap = POLISH_EVERY
     while iterations < MAX_ITERATIONS:
@@ -361,27 +496,33 @@ def _descend(
             break
         iterations += 1
         accepted = None
-        # Near-critical p makes the inverse-power rate degenerate, so once
-        # progress slows to a crawl a Newton teleport toward the stationary
-        # point replaces thousands of tiny steps; the subsequent ordinary
-        # iteration then certifies both stopping criteria. Failed attempts
-        # back off exponentially so a stubborn basin does not eat the
-        # iteration budget in factorizations.
+        # Near-critical p makes the inverse-power rate degenerate; the
+        # ordinary iteration after a teleport certifies both stopping
+        # criteria.
         slow = rel_change <= POLISH_TRIGGER
         if p > 2.0 and slow and iterations - last_polish >= polish_gap:
             last_polish = iterations
-            lam = _multiplier(grid, u, merit, force(u)) if project else None
-            got = newton(grid, u, merit, alpha, p, lam)
-            polished = None if got is None else got[0]
-            if polished is not None and project:
-                polished = _rebalance(polished, alpha, p)
-            if polished is not None:
-                pm, pep, pem = _merit_energy(polished)
-                if pm < merit * (1.0 - 1e-15):
-                    accepted = (polished, pm, pep, pem)
-                    polish_gap = POLISH_EVERY
+            stats.teleports_tried += 1
+            if project:
+                lam = _multiplier(grid, u, merit, force(u))
+                got = newton(grid, u, merit, alpha, p, lam, stats=stats)
+                polished = None if got is None else _rebalance(got[0], alpha, p)
+                reached, mu = math.inf, 0.0
+                if polished is not None:
+                    pm, pep, pem = _merit_energy(polished)
+                    reached = pm
+                    if pm < merit * (1.0 - 1e-15):
+                        accepted = (polished, pm, pep, pem)
+            else:
+                accepted, reached, mu = _teleport(grid, u, merit, alpha, p, force, stats)
+            log.debug("teleport from %.15g to %.15g (mu=%g): %s", merit, reached, mu,
+                      "refused" if accepted is None else "accepted")
             if accepted is None:
+                stats.teleports_refused += 1
                 polish_gap = min(2 * polish_gap, 800)
+            else:
+                stats.teleports_accepted += 1
+                polish_gap = POLISH_EVERY
         if accepted is None:
             sol = np.zeros(grid.n_nodes)
             sol[free] = factor.solve(force(u)[free])
@@ -392,12 +533,16 @@ def _descend(
                     if t == 1.0 and not project:
                         trial = cand  # already clamped and normalized
                     else:
+                        stats.backtracks += t < 1.0
                         trial = feasible((1.0 - t) * u.values + t * cand.values)
                     if trial is not None:
                         tm, tep, tem = _merit_energy(trial)
                         if tm < merit:
                             accepted = (trial, tm, tep, tem)
+                            stats.inverse_power_steps += 1
                             break
+                        if t == 1.0 and _at_floor(tm, merit):
+                            break  # shorter steps would only decide roundoff
                     t *= 0.5
         if accepted is None:
             d = np.zeros(grid.n_nodes)
@@ -413,11 +558,15 @@ def _descend(
                     d -= (float(b[free] @ d[free]) / denom) * q
             s = 1.0
             for _ in range(12):
+                stats.backtracks += s < 1.0
                 trial = feasible(u.values + s * d)
                 if trial is not None:
                     tm, tep, tem = _merit_energy(trial)
                     if tm < merit:
                         accepted = (trial, tm, tep, tem)
+                        stats.gradient_steps += 1
+                        break
+                    if s == 1.0 and _at_floor(tm, merit):
                         break
                 s *= 0.5
         if accepted is None:
@@ -430,7 +579,7 @@ def _descend(
 
     residual = _level_defect(a, u, merit, alpha, p)
     if not project and p > 2.0 and residual > 1e-3 * RESIDUAL_TOL:
-        got = newton(grid, u, merit, alpha, p)
+        got = newton(grid, u, merit, alpha, p, stats=stats)
         if got is not None:
             pm, pep, pem = _merit_energy(got[0])
             if pm <= merit * (1.0 + 1e-9):
@@ -447,6 +596,7 @@ def _descend(
         residual=residual,
         iterations=iterations,
         converged=converged,
+        stats=stats,
     )
 
 
@@ -476,6 +626,7 @@ def _result(params, state, level_tag, init_tag, escaped=False) -> SolveResult:
         constraint_defect=state.e_plus - state.e_minus,
         init_tag=init_tag,
         escaped=escaped,
+        stats=state.stats,
     )
 
 
@@ -635,7 +786,7 @@ def solve_sigma(
     field = state.field
     lam = _multiplier(grid, field, state.merit, fn.weighted_force(field, alpha, p))
     if p > 2.0:
-        got = newton(grid, field, state.merit, alpha, p, lam)
+        got = newton(grid, field, state.merit, alpha, p, lam, stats=state.stats)
         if got is not None:
             field, lam = got
 
@@ -655,6 +806,7 @@ def solve_sigma(
         residual=residual,
         iterations=state.iterations,
         converged=stationary and abs(ep - em) <= ctol * (ep + em),
+        stats=state.stats,
     )
     return _result(params, certified, "T", "two-bump")
 

@@ -187,6 +187,41 @@ class TestSweepAndFit:
         assert payload["slope"] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestLogLevel:
+    def test_debug_reaches_stderr(self, tmp_path, capsys):
+        rc = main(
+            [
+                "solve-lambda", "--alpha", "1", "--p", "5.5", *SMALL_AXI,
+                "--log-level", "debug", "--out", str(tmp_path / "o.json"),
+            ]
+        )
+        assert rc == EXIT_OK
+        err = capsys.readouterr().err
+        assert "DEBUG henon_annulus.minimize: teleport from" in err
+        assert "accepted" in err
+
+    def test_default_level_is_quiet(self, tmp_path, capsys):
+        rc = main(
+            [
+                "solve-lambda", "--alpha", "1", "--p", "5.5", *SMALL_AXI,
+                "--out", str(tmp_path / "o.json"),
+            ]
+        )
+        assert rc == EXIT_OK
+        assert "teleport" not in capsys.readouterr().err
+
+    def test_bad_level_exits_invalid(self):
+        with pytest.raises(SystemExit) as err:
+            main(["solve-radial", "--alpha", "1", "--p", "4", "--log-level", "LOUD"])
+        assert err.value.code == EXIT_INVALID
+
+    def test_bad_level_in_config_exits_invalid(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("log-level = chatty\n")
+        argv = ["solve-radial", "--alpha", "1", "--p", "4", "--config", str(cfg)]
+        assert main(argv) == EXIT_INVALID
+
+
 class TestConfigFile:
     def test_config_supplies_and_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -95,6 +95,7 @@ class TestRunSweep:
             entry = record.levels["S_rad"]
             assert entry["converged"]
             assert entry["value"] > 0.0
+            assert entry["stats"]["teleports_tried"] >= entry["stats"]["teleports_accepted"]
             assert "S_rad" in record.timings
             assert record.concentration is None
 

@@ -157,9 +157,9 @@ class TestSigma:
         borders = []
         real = minimize.newton
 
-        def recording(grid, u, merit, alpha, p, lam=None):
+        def recording(grid, u, merit, alpha, p, lam=None, **kwargs):
             borders.append(lam)
-            return real(grid, u, merit, alpha, p, lam)
+            return real(grid, u, merit, alpha, p, lam, **kwargs)
 
         monkeypatch.setattr(minimize, "newton", recording)
         result = solve_sigma(params_alpha1_p4, axi_grid_small)
@@ -203,6 +203,74 @@ class TestLambda:
     def test_rejects_radial_grid(self, radial_grid, params_alpha1_p4):
         with pytest.raises(ConfigurationError):
             solve_lambda(params_alpha1_p4, radial_grid)
+
+
+PINNED_LAMBDA_128X48_P55 = 8.577485465992304
+
+
+@pytest.fixture(scope="module")
+def near_critical_128x48():
+    """The outer-hunt local minimum at 128x48, alpha = 1, p = 5.5."""
+    grid = build_axi_grid(128, 48, "graded-polar")
+    params = ProblemParams(alpha=1.0, p=5.5)
+    return grid, params, solve_lambda(params, grid, index=0)
+
+
+class TestDescentOnlyTeleport:
+    def test_lambda_does_not_crawl_off_the_saddle(self, near_critical_128x48):
+        # a teleport to the nearest critical point lands on the 8.6085
+        # saddle here, and the inverse-power crawl off it took 480 steps
+        _, _, result = near_critical_128x48
+        assert result.converged
+        assert not result.escaped
+        assert result.report.quotient == pytest.approx(PINNED_LAMBDA_128X48_P55, rel=1e-10)
+        assert result.report.iterations <= 100
+        assert result.stats.teleports_accepted >= 1
+
+    @pytest.mark.parametrize("toward_minimum", [0.005, 0.01])
+    def test_teleport_lands_below_an_iterate_next_to_a_saddle(
+        self, near_critical_128x48, toward_minimum
+    ):
+        grid, params, result = near_critical_128x48
+        alpha, p = params.alpha, params.p
+        minimum = result.field
+        bubble = fn.normalize(instanton(InstantonParams(1e-3, 0), grid), alpha, p)
+        start = fn.normalize(
+            DiscreteField(grid, 0.8 * minimum.values + 0.2 * bubble.values), alpha, p
+        )
+        saddle, _ = minimize.newton(grid, start, fn.rayleigh(start, alpha, p).quotient, alpha, p)
+        saddle_level = fn.rayleigh(saddle, alpha, p).quotient
+        assert saddle_level == pytest.approx(8.6085, abs=1e-4)
+        t = toward_minimum
+        u = fn.normalize(
+            DiscreteField(grid, (1.0 - t) * saddle.values + t * minimum.values), alpha, p
+        )
+        level = fn.rayleigh(u, alpha, p).quotient
+        assert level < saddle_level
+        # the nearest critical point is the saddle, above the iterate
+        nearest, _ = minimize.newton(grid, u, level, alpha, p)
+        assert fn.rayleigh(nearest, alpha, p).quotient > level
+        stats = minimize.SolveStats()
+        best, reached, _ = minimize._teleport(
+            grid, u, level, alpha, p, lambda f: fn.weighted_force(f, alpha, p), stats
+        )
+        assert best is not None
+        field, merit, _, _ = best
+        assert merit == reached
+        assert merit < level * (1.0 - 1e-6)
+        assert fn.rayleigh(field, alpha, p).quotient < level
+        assert 1 <= stats.lu_factorizations <= minimize.NEWTON_MAX
+
+    def test_refused_teleport_returns_nothing(self, near_critical_128x48):
+        # at the minimum nothing lies lower, so the teleport cannot move
+        grid, params, result = near_critical_128x48
+        alpha, p = params.alpha, params.p
+        level = fn.rayleigh(result.field, alpha, p).quotient
+        best, _, _ = minimize._teleport(
+            grid, result.field, level, alpha, p,
+            lambda f: fn.weighted_force(f, alpha, p), minimize.SolveStats(),
+        )
+        assert best is None
 
 
 class TestRepeatedWork:
@@ -286,6 +354,24 @@ class TestResultPayload:
             "grid",
             "init_tag",
             "escaped",
+            "stats",
         }
         assert d["params"] == {"dim": 3, "alpha": 1.0, "p": 4.0}
         assert d["grid"] == radial_grid.descriptor
+        assert set(d["stats"]) == {
+            "inverse_power_steps",
+            "gradient_steps",
+            "backtracks",
+            "teleports_tried",
+            "teleports_accepted",
+            "teleports_refused",
+            "shift_increases",
+            "lu_factorizations",
+        }
+        assert all(isinstance(v, int) and v >= 0 for v in d["stats"].values())
+        stats = result.stats
+        assert stats.teleports_tried == stats.teleports_accepted + stats.teleports_refused
+        # every iteration takes one accepted step, except a last one that
+        # finds none and ends the descent
+        steps = stats.inverse_power_steps + stats.gradient_steps + stats.teleports_accepted
+        assert result.report.iterations - 1 <= steps <= result.report.iterations
