@@ -67,7 +67,6 @@ residual_pde reports the 2-norm of that defect over free nodes.
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -240,13 +239,12 @@ class _Assembly:
     whatever else callers cache per grid through grid_cached.
 
     Holds no reference to its grid, so the weak-keyed _ASSEMBLY entry goes
-    with the grid.
+    with the grid. The cache assumes one thread: it holds no lock, and a
+    build may itself use the cache (the stiffness factor needs the
+    stiffness).
     """
 
     def __init__(self, grid):
-        # Reentrant: a build may itself use the cache (the stiffness factor
-        # needs the stiffness), and concurrent callers wait for one build.
-        self.lock = threading.RLock()
         self.built: dict = {}
         if isinstance(grid, RadialGrid):
             r, n = grid.nodes, grid.dim
@@ -288,12 +286,11 @@ class _Assembly:
 
     def cached(self, key, build):
         """The value stored under key, built by build() on first use."""
-        with self.lock:
-            value = self.built.get(key)
-            if value is None:
-                value = build()
-                self.built[key] = value
-            return value
+        value = self.built.get(key)
+        if value is None:
+            value = build()
+            self.built[key] = value
+        return value
 
     def radial(self, alpha: float) -> _Factor:
         """The radial factor for weight exponent alpha.
@@ -335,23 +332,21 @@ class _Assembly:
 
 
 _ASSEMBLY: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_ASSEMBLY_LOCK = threading.Lock()
 
 
 def _assembly(grid) -> _Assembly:
-    with _ASSEMBLY_LOCK:
-        a = _ASSEMBLY.get(grid)
-        if a is None:
-            a = _Assembly(grid)
-            _ASSEMBLY[grid] = a
-        return a
+    a = _ASSEMBLY.get(grid)
+    if a is None:
+        a = _Assembly(grid)
+        _ASSEMBLY[grid] = a
+    return a
 
 
 def grid_cached(grid, key: str, build):
     """build() once per grid and key; the value lives as long as the grid.
 
-    Concurrent callers of one grid wait for a single build, and build may
-    itself call the cached functions of this module on the same grid.
+    The cache assumes one thread, and build may itself call the cached
+    functions of this module on the same grid.
     """
     return _assembly(grid).cached(key, build)
 

@@ -307,7 +307,8 @@ class DiscreteField:
     """Nodal coefficient vector tied to its grid.
 
     Coefficients are finite and exactly 0 at Dirichlet nodes; the array is
-    frozen after construction so fields can be shared across threads.
+    frozen after construction, so a field never changes under whoever holds
+    it (paths, results, the solvers' identity-keyed memos).
     """
 
     grid: RadialGrid | AxiGrid

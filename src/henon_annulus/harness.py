@@ -3,10 +3,10 @@
 A sweep walks one parameter axis (alpha at fixed p, or p at fixed alpha),
 runs the requested level solvers at every point, and collects one record
 per point with the levels, the ground-state concentration report, and
-timings. Points are independent and run on a small thread pool; records
-are canonicalized by parameter value, never by completion order, and every
-level travels with the grid descriptor and tolerance it was computed
-under. Failed solves are recorded with their flags, not dropped.
+timings. Points run one after another in the calling thread, in
+ascending parameter order, so each point's timings are its own wall time;
+every level travels with the grid descriptor and tolerance it was
+computed under. Failed solves are recorded with their flags, not dropped.
 
 Downstream of a sweep live the two paper-facing reductions: fit_exponent
 recovers the growth exponent of a level along an alpha sweep from a
@@ -21,9 +21,7 @@ import csv
 import dataclasses
 import json
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +49,8 @@ LEVEL_CHOICES = ("S_rad", "S", "T", "beta")
 DEFAULT_RADIAL_CELLS = 2000
 DEFAULT_NR = 256
 DEFAULT_NTHETA = 96
-MAX_WORKERS = 4
+# Points run in the calling thread; the benchmark records this value.
+MAX_WORKERS = 1
 PATH_SEGMENTS = 12
 CHAIN_TOL = 1e-8
 
@@ -241,43 +240,31 @@ def _solve_point(
 
 
 def run_sweep(spec: SweepSpec, out_path: str | None = None) -> list[ResultRecord]:
-    """Solve every sweep point; persist whatever finished even on failure.
+    """Solve every sweep point in turn; persist whatever finished even on failure.
 
-    Points run concurrently on a bounded pool (results are independent,
-    assembly caches are lock-protected), but the returned list and the
-    persisted records are always ordered by parameter value.
+    Points run one after another in the calling thread, in ascending
+    parameter order, which is also the order of the returned list and of
+    the persisted records.
     """
     needs_axi = any(name != "S_rad" for name in spec.levels)
     radial_grid = build_radial_grid(spec.n_radial, "graded", dim=spec.dim)
     axi_grid = build_axi_grid(spec.nr, spec.ntheta, "graded-polar") if needs_axi else None
 
-    done: dict[float, ResultRecord] = {}
+    records: list[ResultRecord] = []
     try:
-        workers = min(MAX_WORKERS, len(spec.values))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                value: pool.submit(_solve_point, spec, value, radial_grid, axi_grid)
-                for value in spec.values
-            }
-            for value, future in futures.items():
-                done[value] = future.result()
+        for value in spec.values:
+            records.append(_solve_point(spec, value, radial_grid, axi_grid))
     finally:
-        if out_path is not None and done:
-            append_records(
-                [done[v] for v in sorted(done)], out_path
-            )
-    return [done[v] for v in sorted(done)]
-
-
-_APPEND_LOCK = threading.Lock()
+        if out_path is not None and records:
+            append_records(records, out_path)
+    return records
 
 
 def append_records(records: list[ResultRecord], path: str) -> None:
     """Append records to a JSON-lines file (the sink is append-only)."""
-    with _APPEND_LOCK:
-        with open(path, "a", encoding="utf-8") as sink:
-            for record in records:
-                sink.write(json.dumps(record.to_json_dict()) + "\n")
+    with open(path, "a", encoding="utf-8") as sink:
+        for record in records:
+            sink.write(json.dumps(record.to_json_dict()) + "\n")
 
 
 def load_records(path: str) -> list[ResultRecord]:

@@ -48,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,26 +151,11 @@ def _lu(matrix, free):
     return spla.splu(matrix[np.ix_(free, free)].tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-class _Factor:
-    """Shared LU factorization of a free-node SPD matrix, solve under lock."""
-
-    def __init__(self, matrix, free):
-        self.free = free
-        self.lu = _lu(matrix, free)
-        self.lock = threading.Lock()
-
-    def solve(self, rhs_free: np.ndarray) -> np.ndarray:
-        with self.lock:
-            return self.lu.solve(rhs_free)
-
-
 def stiffness_factor(grid) -> tuple:
-    """(A_full, factor) for the plain stiffness, factored once per grid."""
+    """(A_full, lu): the plain stiffness and its free-node factor, once per grid."""
     a = fn.stiffness_matrix(grid)
-    factor = fn.grid_cached(
-        grid, "stiffness_factor", lambda: _Factor(a, fn.free_indices(grid))
-    )
-    return a, factor
+    lu = fn.grid_cached(grid, "stiffness_factor", lambda: _lu(a, fn.free_indices(grid)))
+    return a, lu
 
 
 def _merit_stiffness(grid, lam: float):
@@ -439,7 +423,7 @@ def _descend(
     polishes and certifies the projected minimizer itself.
     """
     a, factor = stiffness_factor(grid)
-    free = factor.free
+    free = fn.free_indices(grid)
     mask = grid.dirichlet_mask
     balance_op = fn.halfspace_stiffness(grid) if project else None
 

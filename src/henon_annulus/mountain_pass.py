@@ -203,7 +203,7 @@ def mountain_pass(
     alpha, p = path.alpha, path.p
     grid = path.nodes[0].grid
     matrix, factor = stiffness_factor(grid)
-    free = factor.free
+    free = fn.free_indices(grid)
     m = len(path.nodes) - 1
     endpoint_levels = (float(path.quotients[0]), float(path.quotients[m]))
     endpoint_values = (path.nodes[0].values.copy(), path.nodes[m].values.copy())

@@ -3,9 +3,11 @@
 import io
 import json
 import math
+import time
 
 import pytest
 
+from henon_annulus import minimize
 from henon_annulus import (
     ConfigurationError,
     ContractViolationError,
@@ -131,6 +133,36 @@ class TestRunSweep:
         assert [_without_timings(r) for r in again] == [
             _without_timings(r) for r in records
         ]
+
+    def test_timings_within_wall_time(self):
+        # each point's timings are its own wall time, so together they fit
+        # inside the sweep's
+        spec = SweepSpec(axis="alpha", values=(2.0, 4.0, 8.0, 16.0), fixed=4.0, n_radial=400)
+        t0 = time.perf_counter()
+        records = run_sweep(spec)
+        wall = time.perf_counter() - t0
+        recorded = sum(sum(r.timings.values()) for r in records)
+        assert 0.0 < recorded <= wall
+
+    def test_failure_persists_finished_points(self, tmp_path, monkeypatch):
+        solved = []
+        real = minimize.solve_radial
+
+        def failing(params, grid, **kwargs):
+            solved.append(params.alpha)
+            if params.alpha == 4.0:
+                raise RuntimeError("solver crashed")
+            return real(params, grid, **kwargs)
+
+        monkeypatch.setattr(minimize, "solve_radial", failing)
+        out = tmp_path / "sweep.jsonl"
+        spec = SweepSpec(axis="alpha", values=(2.0, 4.0, 8.0), fixed=4.0, n_radial=100)
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            run_sweep(spec, out_path=str(out))
+        (record,) = load_records(str(out))
+        assert record.alpha == 2.0
+        assert record.levels["S_rad"]["converged"]
+        assert solved == [2.0, 4.0]
 
     def test_ground_point_has_concentration(self):
         spec = SweepSpec(

