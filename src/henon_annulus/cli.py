@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import logging
@@ -254,6 +255,7 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> int:
         "iterations": result.iterations,
         "endpoint_levels": list(result.endpoint_levels),
         "straight_max": result.straight_max,
+        "stats": dataclasses.asdict(result.stats),
         "crossing_index": crossing,
         "asymmetry_index": asymmetry_index(result.w),
         "grid": grid.descriptor,

@@ -62,6 +62,18 @@ points of R with int psi |u|^p = 1 and E = R(u) satisfy
 
 and v = u / sqrt(E) solves the level form A v = E^{p/2} F(v);
 residual_pde reports the 2-norm of that defect over free nodes.
+
+The free nodes are one contiguous block, the interior radial rows times
+every angular node, so the stiffness on them keeps the tensor form
+K_r (x) M_theta + M_r (x) K_theta with the radial factors cut to the
+interior. stiffness_solver solves it by fast diagonalization
+(Lynch-Rice-Thomas): with K_theta V = M_theta V diag(mu) and
+V^T M_theta V = I, the substitution U = W V^T leaves one SPD radial
+tridiagonal K_r + mu_j M_r per angular mode, so a solve is two dense
+products with V and one tridiagonal LDL^T solve over all modes at once.
+The merit stiffness A(lam) = (1 + lam) A_plus + (1 - lam) A_minus keeps
+that form, its radial cells scaled by 1 + lam above r = 2 and 1 - lam
+below, and reuses the angular eigenbasis cached per grid.
 """
 
 from __future__ import annotations
@@ -71,9 +83,10 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, DegenerateFieldError
+from .errors import ConfigurationError, ContractViolationError, DegenerateFieldError
 from .geometry import (
     AxiGrid,
     DiscreteField,
@@ -235,13 +248,13 @@ def _hat_factor(nodes: np.ndarray, pts: np.ndarray, weight: np.ndarray) -> _Fact
 
 
 class _Assembly:
-    """Lazily built per-grid data: the two factors, the stiffness pieces and
-    whatever else callers cache per grid through grid_cached.
+    """Lazily built per-grid data: the two factors, the stiffness pieces,
+    the angular eigenbasis and the stiffness solver.
 
     Holds no reference to its grid, so the weak-keyed _ASSEMBLY entry goes
     with the grid. The cache assumes one thread: it holds no lock, and a
-    build may itself use the cache (the stiffness factor needs the
-    stiffness).
+    build may itself use the cache (the stiffness solver needs the
+    eigenbasis).
     """
 
     def __init__(self, grid):
@@ -342,15 +355,6 @@ def _assembly(grid) -> _Assembly:
     return a
 
 
-def grid_cached(grid, key: str, build):
-    """build() once per grid and key; the value lives as long as the grid.
-
-    The cache assumes one thread, and build may itself call the cached
-    functions of this module on the same grid.
-    """
-    return _assembly(grid).cached(key, build)
-
-
 def cell_energies(u: DiscreteField) -> np.ndarray:
     """Per-cell Dirichlet energy: (n_cells,) radial, (nr, nt) axisymmetric.
 
@@ -423,8 +427,66 @@ def _build_stiffness(asm: _Assembly, lo: int, hi: int) -> sp.csr_matrix:
     )
 
 
-def free_indices(grid) -> np.ndarray:
-    return np.nonzero(~grid.dirichlet_mask)[0]
+def free_slice(grid) -> slice:
+    """The free nodes: the interior radial rows times every angular node,
+    one contiguous block in the r-major order."""
+    n_t = _assembly(grid).angular.n_nodes
+    return slice(n_t, grid.n_nodes - n_t)
+
+
+def _dense_tridiagonal(data: np.ndarray) -> np.ndarray:
+    """The dense matrix of _tridiagonal's CSR data."""
+    return np.diag(data[0::3]) + np.diag(data[1::3], 1) + np.diag(data[2::3], -1)
+
+
+def _angular_eigenbasis(grid):
+    """(values, vectors) of K_theta v = mu M_theta v, with V^T M_theta V = I.
+
+    A radial grid has the one mode 0 with vector 1.
+    """
+    asm = _assembly(grid)
+    return asm.cached("angular_eigenbasis", lambda: sla.eigh(
+        _dense_tridiagonal(asm.k_theta), _dense_tridiagonal(asm.m_theta)))
+
+
+class _StiffnessSolver:
+    """x = A(lam)^{-1} b on the free nodes, by fast diagonalization.
+
+    The radial tridiagonals K_r + mu_j M_r of the angular modes sit end
+    to end, angular-major, in one tridiagonal with zero couplings between
+    modes, built from the radial cells and factored once by LAPACK's
+    LDL^T (dpttrf).
+    """
+
+    def __init__(self, grid, lam: float):
+        asm = _assembly(grid)
+        mu, self.vectors = _angular_eigenbasis(grid)
+        scale = np.where(np.arange(len(asm.k_r)) < grid.mid_index, 1.0 - lam, 1.0 + lam)
+        k, m = scale * asm.k_r, scale * asm.m_r
+        diag = np.multiply.outer(mu, (m[:-1] + m[1:]) / 3.0) + (k[:-1] + k[1:])
+        off = np.zeros_like(diag)
+        off[:, :-1] = np.multiply.outer(mu, m[1:-1] / 6.0) - k[1:-1]
+        self.d, self.e, info = sla.lapack.dpttrf(np.ravel(diag), np.ravel(off)[:-1])
+        if info != 0:
+            raise ContractViolationError(f"stiffness A({lam}) is not positive definite")
+        self.modes = len(mu)
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        # modes along the rows: (B V)^T, one radial system per row
+        bt = self.vectors.T @ np.reshape(b, (-1, self.modes)).T
+        wt, _ = sla.lapack.dpttrs(self.d, self.e, np.ravel(bt))
+        return np.ravel(np.reshape(wt, bt.shape).T @ self.vectors.T)
+
+
+def stiffness_solver(grid, lam: float = 0.0):
+    """The solver of A(lam) = (1 + lam) A_plus + (1 - lam) A_minus on the
+    free nodes (the plain stiffness at lam = 0, cached per grid).
+
+    |lam| < 1 keeps A(lam) positive definite.
+    """
+    if lam == 0.0:
+        return _assembly(grid).cached("stiffness_solver", lambda: _StiffnessSolver(grid, 0.0))
+    return _StiffnessSolver(grid, lam)
 
 
 def _guarded(kernel, u: DiscreteField, alpha: float, p: float, k: float):
@@ -433,8 +495,11 @@ def _guarded(kernel, u: DiscreteField, alpha: float, p: float, k: float):
     kernel(rad, ang, vt) evaluates on one radial factor, with
     V = B_r U B_theta^T at its points given transposed, angular points
     along the rows, so that every kernel reduces its larger axis on
-    contiguous rows. The tail is added when its bound, for an integrand
-    bounded by w |V|^k, is not negligible against the head's result.
+    contiguous rows. vt is the kernel's own to overwrite: its pointwise
+    steps run in place, since a fresh temporary of this size is an
+    mmap/munmap pair with fresh page faults on every call. The tail is
+    added when its bound, for an integrand bounded by w |V|^k, is not
+    negligible against the head's result.
     """
     if p < 2.0:
         raise ConfigurationError(f"p must be >= 2, got {p!r}")
@@ -454,7 +519,9 @@ def _guarded(kernel, u: DiscreteField, alpha: float, p: float, k: float):
 def weighted_pnorm_p(u: DiscreteField, alpha: float, p: float) -> float:
     """int psi_alpha |u|^p dx over the annulus."""
     def kernel(rad, ang, vt):
-        return (ang.weight @ np.abs(vt) ** p) @ rad.weight
+        np.abs(vt, out=vt)
+        vt **= p
+        return (ang.weight @ vt) @ rad.weight
 
     return float(_guarded(kernel, u, alpha, p, p))
 
@@ -466,7 +533,8 @@ def weighted_force(u: DiscreteField, alpha: float, p: float) -> np.ndarray:
     p-norm integral to roundoff.
     """
     def kernel(rad, ang, vt):
-        g = np.abs(vt) ** (p - 2.0)
+        g = np.abs(vt)
+        g **= p - 2.0
         g *= np.multiply.outer(ang.weight, rad.weight)
         g *= vt
         return np.ravel(rad.basis_t @ (ang.basis_t @ g).T)
@@ -515,7 +583,8 @@ def weighted_linearized_matrix(u: DiscreteField, alpha: float, p: float) -> sp.c
     where the density vanishes.
     """
     def kernel(rad, ang, vt):
-        density = np.abs(vt) ** (p - 2.0)
+        density = np.abs(vt, out=vt)
+        density **= p - 2.0
         density *= np.multiply.outer(ang.weight, rad.weight)
         return rad.pairs @ (ang.pairs @ density).T
 

@@ -215,6 +215,7 @@ def _solve_point(
                 "iterations": res.iterations,
                 "endpoints": list(res.endpoint_levels),
                 "straight_max": res.straight_max,
+                "stats": dataclasses.asdict(res.stats),
             }
         except HenonAnnulusError as exc:
             levels["beta"] = _failed_entry(axi_grid.descriptor, spec.tol, exc)

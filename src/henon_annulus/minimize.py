@@ -24,10 +24,11 @@ The primary step is nonlinear inverse-power: solve A v = F(u_k), clamp to
 nonnegative values (minimizers can be taken nonnegative), renormalize, and
 damp toward u_k until the quotient decreases. When that stalls, a
 preconditioned gradient step (direction -A^{-1} grad R) with backtracking
-takes over. Accepted steps never increase the quotient (checked, slack
-1e-12). Line searches stop halving once the full step's quotient is
-within FLOOR_ULPS ulps of the iterate's: shorter steps would only decide
-roundoff.
+takes over. Both solve with the stiffness through
+functional.stiffness_solver, a direct solve by fast diagonalization.
+Accepted steps never increase the quotient (checked, slack 1e-12). Line
+searches stop halving once the full step's quotient is within FLOOR_ULPS
+ulps of the iterate's: shorter steps would only decide roundoff.
 
 Once the descent slows to a crawl, a Newton teleport replaces its many
 small steps. Off the balanced set the teleport is descent-only
@@ -40,7 +41,9 @@ damped Newton iteration of `newton` on the unit equation A w = F(w), with
 w = R^{1/(p-2)} u, goes to the nearest critical point of any index; it
 polishes converged iterates, drives the level-form defect of the rescaled
 field to roundoff, and on the balanced set runs bordered by the
-constraint as that set's teleport.
+constraint as that set's teleport. Every Newton step, bordered or not, is
+one MINRES solve of a symmetric system preconditioned by the stiffness
+solver (`_newton_step`); no matrix is factored.
 """
 
 from __future__ import annotations
@@ -73,6 +76,10 @@ NEWTON_MAX = 8
 BORDERED_NEWTON_MAX = 16
 POLISH_EVERY = 25
 POLISH_TRIGGER = 1e-4
+# MINRES stops at this relative residual of the preconditioned system;
+# a solve that reaches the cap is a failed Newton step.
+KRYLOV_RTOL = 1e-12
+KRYLOV_MAX = 300
 SHIFT_START = 0.01
 SHIFT_GROWTH = 4.0
 FLOOR_ULPS = 4
@@ -88,8 +95,10 @@ class SolveStats:
     Steps are accepted steps by kind; backtracks are the trial points a
     line search evaluated after its first; a teleport is tried, then
     accepted when it lowered the quotient and refused otherwise; shift
-    increases count the raises of its mu; LU factorizations count the
-    Newton matrices factored (the stiffness factor is shared per grid).
+    increases count the raises of its mu. Linear solves count the Newton
+    systems solved by MINRES, Krylov iterations their iterations summed,
+    and Krylov capped the solves that stopped at KRYLOV_MAX (stiffness
+    solves are direct and not counted).
     """
 
     inverse_power_steps: int = 0
@@ -99,7 +108,9 @@ class SolveStats:
     teleports_accepted: int = 0
     teleports_refused: int = 0
     shift_increases: int = 0
-    lu_factorizations: int = 0
+    linear_solves: int = 0
+    krylov_iterations: int = 0
+    krylov_capped: int = 0
 
 
 @dataclass(frozen=True)
@@ -141,21 +152,52 @@ class SolveResult:
         }
 
 
-def _lu(matrix, free):
-    """SuperLU factor of matrix restricted to the free nodes.
+def _newton_step(jac, r: np.ndarray, solver, stats: SolveStats,
+                col: np.ndarray | None = None, c: float = 0.0):
+    """The Newton step of the free block jac by MINRES, or None if it failed.
 
-    Every matrix factored here (stiffness, Newton Jacobian A - (p - 1) M)
-    is symmetric, so the minimum-degree ordering of A^T + A applies; it
-    fills far less than SuperLU's default COLAMD.
+    Without col it solves J dw = -r. With col it solves the symmetric
+    bordered system [J col; col^T 0] [dw; dlam] = -[r; c]. J is symmetric
+    and may be indefinite; the preconditioner is the stiffness solver
+    S^{-1}, bordered by 1 / (col^T S^{-1} col), which bounds the iteration
+    count independently of the mesh. Returns (dw, dlam), dlam = 0 without
+    a border. A solve that reaches KRYLOV_MAX iterations or ends
+    non-finite is a failed step.
     """
-    return spla.splu(matrix[np.ix_(free, free)].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    m = len(r)
+    if col is None:
+        op, rhs = jac, -r
+        prec = spla.LinearOperator((m, m), matvec=solver)
+    else:
+        schur = float(col @ solver(col))
+        if not (schur > 0.0 and math.isfinite(schur)):
+            return None
 
+        def bordered(x):
+            return np.append(jac @ x[:m] + x[m] * col, col @ x[:m])
 
-def stiffness_factor(grid) -> tuple:
-    """(A_full, lu): the plain stiffness and its free-node factor, once per grid."""
-    a = fn.stiffness_matrix(grid)
-    lu = fn.grid_cached(grid, "stiffness_factor", lambda: _lu(a, fn.free_indices(grid)))
-    return a, lu
+        def precondition(x):
+            return np.append(solver(x[:m]), x[m] / schur)
+
+        op = spla.LinearOperator((m + 1, m + 1), matvec=bordered)
+        prec = spla.LinearOperator((m + 1, m + 1), matvec=precondition)
+        rhs = -np.append(r, c)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.minres(op, rhs, rtol=KRYLOV_RTOL, maxiter=KRYLOV_MAX, M=prec,
+                          callback=count)
+    stats.linear_solves += 1
+    stats.krylov_iterations += iterations
+    if info != 0:
+        stats.krylov_capped += 1
+        return None
+    if not np.all(np.isfinite(x)):
+        return None
+    return (x, 0.0) if col is None else (x[:m], float(x[m]))
 
 
 def _merit_stiffness(grid, lam: float):
@@ -209,28 +251,12 @@ def _multiplier(grid, u: DiscreteField, merit: float, force: np.ndarray) -> floa
     the free nodes, given force = F(u), clipped to |lam| < 1 so that A(lam)
     stays positive definite.
     """
-    free = fn.free_indices(grid)
+    free = fn.free_slice(grid)
     a_plus, a_minus = fn.halfspace_stiffness(grid)
     r0 = (fn.stiffness_matrix(grid) @ u.values - merit * force)[free]
     d = ((a_plus - a_minus) @ u.values)[free]
     dd = float(d @ d)
     return 0.0 if dd == 0.0 else float(np.clip(-(d @ r0) / dd, -0.999, 0.999))
-
-
-def _bordered_step(lu, r: np.ndarray, col: np.ndarray, row: np.ndarray, c: float):
-    """Solve [J col; row^T 0] [dw; dlam] = -[r; c] with J's factor lu.
-
-    Block elimination: two solves, s1 = J^{-1} r and s2 = J^{-1} col, then
-    dlam from the border row and dw = -s1 - dlam s2. Returns None when the
-    Schur complement row . s2 vanishes or is not finite.
-    """
-    s1 = lu.solve(r)
-    s2 = lu.solve(col)
-    denom = float(row @ s2)
-    if denom == 0.0 or not math.isfinite(denom):
-        return None
-    dlam = (c - float(row @ s1)) / denom
-    return -s1 - dlam * s2, dlam
 
 
 def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
@@ -242,8 +268,8 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     multiplier moving with the field: the balanced minimizer is a saddle of
     each fixed-multiplier merit functional, so descent alone slides off the
     constraint, while the joint system converges quadratically onto the
-    balanced stationary pair. Block elimination keeps a bordered step at
-    two triangular solves.
+    balanced stationary pair. Each step is one MINRES solve (_newton_step),
+    preconditioned by the stiffness solver of A(lam).
 
     Steps are shortened to at most half the field norm and halved until the
     norm of the residual (and of the constraint defect) decreases, which
@@ -257,8 +283,9 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     final multiplier (None without a border), or None if no step reduced
     the residual.
     """
-    free = fn.free_indices(grid)
+    free = fn.free_slice(grid)
     bordered = lam is not None
+    stats = SolveStats() if stats is None else stats
     if bordered:
         a_plus, a_minus = fn.halfspace_stiffness(grid)
     else:
@@ -278,26 +305,18 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
         if combined <= 1e-12 * max(1.0, float(np.linalg.norm((a @ w)[free]))):
             progressed = True
             break
-        jac = a - (p - 1.0) * fn.weighted_linearized_matrix(field, alpha, p)
-        if stats is not None:
-            stats.lu_factorizations += 1
-        try:
-            lu = _lu(jac, free)
-            if bordered:
-                # the column is d/dlam of A(lam) w, the row the gradient
-                # 2 d of the constraint, linearized as c + row . dw = 0
-                d = ((a_plus - a_minus) @ w)[free]
-                got = _bordered_step(lu, r, d, 2.0 * d, c)
-            else:
-                got = (-lu.solve(r), 0.0)
-        except RuntimeError:
-            break
-        del lu  # free this factor before the next step builds its own
+        jac = (a - (p - 1.0) * fn.weighted_linearized_matrix(field, alpha, p))[free, free]
+        if bordered:
+            # the column is d = d/dlam of A(lam) w; the constraint's
+            # gradient is 2 d, so its linearization c + 2 d . dw = 0 is
+            # halved to keep the system symmetric
+            d = ((a_plus - a_minus) @ w)[free]
+            got = _newton_step(jac, r, fn.stiffness_solver(grid, lam), stats, d, 0.5 * c)
+        else:
+            got = _newton_step(jac, r, fn.stiffness_solver(grid), stats)
         if got is None:
             break
         dw, dlam = got
-        if not (np.all(np.isfinite(dw)) and math.isfinite(dlam)):
-            break
         step = min(1.0, 0.5 * float(np.linalg.norm(w[free]) / max(np.linalg.norm(dw), 1e-300)))
         accepted = None
         for _ in range(8):
@@ -338,9 +357,9 @@ def _teleport(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     a short preconditioned gradient step; each accepted step divides it by
     SHIFT_GROWTH. So a nearby saddle, where plain Newton converges, cannot
     pull the iterate uphill. force is the descent's memoized F. The
-    iteration factors at most NEWTON_MAX matrices, one alive at a time,
-    and stops early once the residual is at roundoff or a refused trial is
-    at the quotient's roundoff floor.
+    iteration solves at most NEWTON_MAX systems and stops early once the
+    residual is at roundoff or a refused trial is at the quotient's
+    roundoff floor.
 
     Returns (best, reached, mu): best is (field, merit, e_plus, e_minus) of
     the lowest point reached, or None unless it lies below the start by
@@ -348,7 +367,8 @@ def _teleport(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     the last shift.
     """
     a = fn.stiffness_matrix(grid)
-    free = fn.free_indices(grid)
+    solver = fn.stiffness_solver(grid)
+    free = fn.free_slice(grid)
     start, best, reached = merit, None, math.inf
     mu = 0.0
     curvature = None  # (p - 1) R M(u) at the current iterate
@@ -360,15 +380,10 @@ def _teleport(grid, u: DiscreteField, merit: float, alpha: float, p: float,
             break
         if curvature is None:
             curvature = ((p - 1.0) * merit) * fn.weighted_linearized_matrix(u, alpha, p)
-        stats.lu_factorizations += 1
-        try:
-            lu = _lu((1.0 + mu) * a - curvature, free)
-            got = _bordered_step(lu, r, f[free], f[free], 0.0)
-        except RuntimeError:
-            got = None
-        lu = None  # free this factor before the next step builds its own
+        jac = ((1.0 + mu) * a - curvature)[free, free]
+        got = _newton_step(jac, r, solver, stats, f[free])
         trial = None
-        if got is not None and np.all(np.isfinite(got[0])):
+        if got is not None:
             vals = u.values.copy()
             vals[free] += got[0]
             trial = _clamped_normalized(grid, vals, alpha, p)
@@ -410,7 +425,7 @@ def _descend(
     teleport that lowers the quotient counts as the iteration's step;
     otherwise the iteration steps as usual, and the wait before the next
     teleport doubles (from POLISH_EVERY iterations, at most 800) so a
-    stubborn basin does not eat the budget in factorizations. Each
+    stubborn basin does not eat the budget in Newton solves. Each
     teleport is logged at DEBUG: from, to, mu, accepted or refused.
 
     With project=True every trial candidate is rebalanced onto the equal
@@ -422,8 +437,9 @@ def _descend(
     unbordered polish, which would leave the set, is skipped: solve_sigma
     polishes and certifies the projected minimizer itself.
     """
-    a, factor = stiffness_factor(grid)
-    free = fn.free_indices(grid)
+    a = fn.stiffness_matrix(grid)
+    solve = fn.stiffness_solver(grid)
+    free = fn.free_slice(grid)
     mask = grid.dirichlet_mask
     balance_op = fn.halfspace_stiffness(grid) if project else None
 
@@ -509,7 +525,7 @@ def _descend(
                 polish_gap = POLISH_EVERY
         if accepted is None:
             sol = np.zeros(grid.n_nodes)
-            sol[free] = factor.solve(force(u)[free])
+            sol[free] = solve(force(u)[free])
             cand = _clamped_normalized(grid, sol, alpha, p)
             if cand is not None:
                 t = 1.0
@@ -530,13 +546,13 @@ def _descend(
                     t *= 0.5
         if accepted is None:
             d = np.zeros(grid.n_nodes)
-            d[free] = factor.solve(-g[free])
+            d[free] = solve(-g[free])
             if project:
                 # Tangentialize in the A^{-1} metric so the direction stays
                 # descent after the rebalance projection.
                 b = balance_normal(u)
                 q = np.zeros(grid.n_nodes)
-                q[free] = factor.solve(b[free])
+                q[free] = solve(b[free])
                 denom = float(b[free] @ q[free])
                 if denom != 0.0:
                     d -= (float(b[free] @ d[free]) / denom) * q

@@ -29,6 +29,7 @@ the balanced level.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ from .errors import (
     DegenerateFieldError,
 )
 from .geometry import DiscreteField, ProblemParams
-from .minimize import newton, stiffness_factor
+from .minimize import SolveStats, newton
 
 MIN_SEGMENTS = 9
 REDISTRIBUTE_EVERY = 20
@@ -67,6 +68,23 @@ class PathState:
         return float(self.quotients[self.max_index])
 
 
+@dataclass
+class MpassStats:
+    """What the pass did, as counts only, so reruns compare bitwise.
+
+    A polish is one Newton run from the argmax node, tried when it ran and
+    accepted when its field replaced the node; linear solves, Krylov
+    iterations and Krylov capped count its Newton systems as in
+    SolveStats.
+    """
+
+    polishes_tried: int = 0
+    polishes_accepted: int = 0
+    linear_solves: int = 0
+    krylov_iterations: int = 0
+    krylov_capped: int = 0
+
+
 @dataclass(frozen=True)
 class MpassResult:
     """Mountain-pass outcome: the level, the pass field, and certificates."""
@@ -77,6 +95,7 @@ class MpassResult:
     converged: bool
     endpoint_levels: tuple[float, float]
     straight_max: float
+    stats: MpassStats = dataclasses.field(default_factory=MpassStats)
 
 
 def _normalized_quotient(field: DiscreteField, alpha: float, p: float):
@@ -202,8 +221,9 @@ def mountain_pass(
         raise ConfigurationError(f"path needs at least {MIN_SEGMENTS} segments")
     alpha, p = path.alpha, path.p
     grid = path.nodes[0].grid
-    matrix, factor = stiffness_factor(grid)
-    free = fn.free_indices(grid)
+    matrix = fn.stiffness_matrix(grid)
+    solve = fn.stiffness_solver(grid)
+    free = fn.free_slice(grid)
     m = len(path.nodes) - 1
     endpoint_levels = (float(path.quotients[0]), float(path.quotients[m]))
     endpoint_values = (path.nodes[0].values.copy(), path.nodes[m].values.copy())
@@ -236,6 +256,7 @@ def mountain_pass(
         g = gradient(nodes[k])
         return float(np.linalg.norm(g)) / (2.0 * math.sqrt(quotients[k]))
 
+    stats, newton_stats = MpassStats(), SolveStats()
     try:
         last_polish = 0
         polish_memo: tuple = (None, None)
@@ -251,7 +272,7 @@ def mountain_pass(
                     fn.functional_gradient(nodes[k], alpha, p).values
                 )
                 d = np.zeros(grid.n_nodes)
-                d[free] = factor.solve(-g[free])
+                d[free] = solve(-g[free])
                 gref = math.sqrt(max(-float(g @ d), 0.0))
                 # Tangential treatment along the central-difference chord,
                 # both projections in the A inner product. Ordinary nodes
@@ -302,7 +323,7 @@ def mountain_pass(
                             # back and the iteration deadlocks short of
                             # criticality.
                             gnew = gradient(cand)
-                            dnew = factor.solve(-gnew[free])
+                            dnew = solve(-gnew[free])
                             gcand = math.sqrt(max(-float(gnew[free] @ dnew), 0.0))
                             floor = max(quotients[k - 1], quotients[k + 1])
                             ok = (
@@ -334,7 +355,9 @@ def mountain_pass(
                     # argmax node is offered the teleport on every sweep:
                     # reuse the last outcome while the node is unchanged.
                     if polish_memo[0] is not nodes[k]:
-                        got = newton(grid, nodes[k], float(quotients[k]), alpha, p)
+                        stats.polishes_tried += 1
+                        got = newton(grid, nodes[k], float(quotients[k]), alpha, p,
+                                     stats=newton_stats)
                         polish_memo = (nodes[k], None if got is None else got[0])
                     polished = polish_memo[1]
                     if polished is not None:
@@ -355,6 +378,7 @@ def mountain_pass(
                         ):
                             nodes[k] = polished
                             quotients[k] = energy
+                            stats.polishes_accepted += 1
             if iterations % REDISTRIBUTE_EVERY == 0:
                 pin = int(np.argmax(quotients))
                 if 0 < pin < m:
@@ -396,4 +420,10 @@ def mountain_pass(
         converged=converged,
         endpoint_levels=endpoint_levels,
         straight_max=straight_max,
+        stats=dataclasses.replace(
+            stats,
+            linear_solves=newton_stats.linear_solves,
+            krylov_iterations=newton_stats.krylov_iterations,
+            krylov_capped=newton_stats.krylov_capped,
+        ),
     )

@@ -127,6 +127,13 @@ class TestMountainPass:
         assert 1 <= payload["crossing_index"] <= payload["segments"]
         assert 0.0 <= payload["asymmetry_index"] <= 1.0
         assert trace.read_text().splitlines()[0] == "iteration,node,quotient"
+        stats = payload["stats"]
+        assert set(stats) == {
+            "polishes_tried", "polishes_accepted", "linear_solves",
+            "krylov_iterations", "krylov_capped",
+        }
+        assert all(isinstance(v, int) and v >= 0 for v in stats.values())
+        assert stats["polishes_accepted"] <= stats["polishes_tried"]
 
 
 class TestSweepAndFit:

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from henon_annulus import (
     ConfigurationError,
+    ContractViolationError,
     DegenerateFieldError,
     DiscreteField,
     InstantonParams,
@@ -24,7 +26,9 @@ from henon_annulus import (
     weighted_pnorm_p,
 )
 from henon_annulus import functional as fn
-from henon_annulus.weight import WeightSpec, cell_weighted_integral
+from henon_annulus.weight import WeightSpec
+
+from cell_quadrature import cell_weighted_integral
 
 
 def _bump_radial(grid):
@@ -333,3 +337,48 @@ class TestHalfspaceDecomposition:
         assert 0 < np.count_nonzero(m.data) < m.nnz
         assert np.array_equal(m.indptr, a.indptr)
         assert np.array_equal(m.indices, a.indices)
+
+
+class TestStiffnessSolver:
+    """Fast diagonalization against scipy's sparse direct solve.
+
+    The residual is normwise backward error, |A x - b| / (|A| |x| + |b|)
+    in the infinity norm, which a stable direct solve holds near machine
+    precision whatever the conditioning; the distance to spsolve's
+    solution also carries the condition number, so its bound is looser.
+    """
+
+    GRIDS = {
+        "radial-48": lambda: build_radial_grid(48, "graded"),
+        "radial-2000": lambda: build_radial_grid(2000, "graded"),
+        "axi-16x8": lambda: build_axi_grid(16, 8, "graded-polar"),
+        "axi-48x16": lambda: build_axi_grid(48, 16, "graded-polar"),
+        "axi-128x48": lambda: build_axi_grid(128, 48, "graded-polar"),
+    }
+
+    @pytest.mark.parametrize("lam", [-0.9, 0.0, 0.7])
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_matches_sparse_direct_solve(self, name, lam, rng):
+        grid = self.GRIDS[name]()
+        a_plus, a_minus = fn.halfspace_stiffness(grid)
+        free = fn.free_slice(grid)
+        a = ((1.0 + lam) * a_plus + (1.0 - lam) * a_minus).tocsr()[free, free]
+        b = rng.standard_normal(a.shape[0])
+        x = fn.stiffness_solver(grid, lam)(b)
+        norm_a = float(np.max(np.abs(a).sum(axis=1)))
+        residual = np.max(np.abs(a @ x - b)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
+        assert residual <= 1e-12
+        want = spla.spsolve(a.tocsc(), b)
+        assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_free_block_is_the_interior_rows(self):
+        grid = build_axi_grid(16, 8, "graded-polar")
+        free = fn.free_slice(grid)
+        mask = np.ones(grid.n_nodes, dtype=bool)
+        mask[free] = False
+        assert np.array_equal(mask, grid.dirichlet_mask)
+
+    def test_lam_outside_the_open_interval_is_refused(self):
+        grid = build_axi_grid(16, 8, "graded-polar")
+        with pytest.raises(ContractViolationError):
+            fn.stiffness_solver(grid, -1.5)

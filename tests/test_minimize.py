@@ -15,6 +15,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from henon_annulus import functional as fn
@@ -256,7 +258,7 @@ class TestDescentOnlyTeleport:
         assert merit == reached
         assert merit < level * (1.0 - 1e-6)
         assert fn.rayleigh(field, alpha, p).quotient < level
-        assert 1 <= stats.lu_factorizations <= minimize.NEWTON_MAX
+        assert 1 <= stats.linear_solves <= minimize.NEWTON_MAX
 
     def test_refused_teleport_returns_nothing(self, near_critical_128x48):
         # at the minimum nothing lies lower, so the teleport cannot move
@@ -303,20 +305,75 @@ class TestGridCache:
         # the radial grids solve_ground embeds are gone as well
         assert len(fn._ASSEMBLY) == before
 
-    def test_stiffness_factored_once(self, monkeypatch):
+    def test_stiffness_solver_built_once(self, monkeypatch):
         grid = build_axi_grid(48, 16, "graded-polar")
         calls = []
 
-        def counting_splu(*args, **kwargs):
+        def counting_eigh(*args, **kwargs):
             calls.append(args)
-            return spla.splu(*args, **kwargs)
+            return sla.eigh(*args, **kwargs)
 
-        monkeypatch.setattr(minimize, "spla", types.SimpleNamespace(splu=counting_splu))
-        factors = [minimize.stiffness_factor(grid)[1] for _ in range(4)]
+        monkeypatch.setattr(
+            fn, "sla", types.SimpleNamespace(eigh=counting_eigh, lapack=sla.lapack)
+        )
+        solvers = [fn.stiffness_solver(grid) for _ in range(4)]
+        assert all(s is solvers[0] for s in solvers)
+        # a merit stiffness A(lam) reuses the cached angular eigenbasis
+        assert fn.stiffness_solver(grid, 0.5) is not solvers[0]
         assert len(calls) == 1
-        assert all(f is factors[0] for f in factors)
-        # the cached object is the SuperLU factor itself
-        assert isinstance(factors[0], spla.SuperLU)
+
+
+class TestNewtonStep:
+    """MINRES Newton steps against a direct solve of the assembled system."""
+
+    @pytest.fixture(scope="class")
+    def ground_128x48(self):
+        grid = build_axi_grid(128, 48, "graded-polar")
+        params = ProblemParams(alpha=1.0, p=5.5)
+        return grid, params, solve_ground(params, grid)
+
+    @staticmethod
+    def _system(ground):
+        # the teleport's matrix at the ground state, a right-hand side
+        # well away from roundoff, and the border F(u)
+        grid, params, result = ground
+        alpha, p, u = params.alpha, params.p, result.field
+        free = fn.free_slice(grid)
+        a = fn.stiffness_matrix(grid)
+        jac = (a - (p - 1.0) * result.report.quotient
+               * fn.weighted_linearized_matrix(u, alpha, p))[free, free]
+        r = (a @ u.values)[free]
+        col = fn.weighted_force(u, alpha, p)[free]
+        return grid, jac, r, col
+
+    def test_bordered_step_matches_a_direct_solve(self, ground_128x48):
+        grid, jac, r, col = self._system(ground_128x48)
+        stats = minimize.SolveStats()
+        dw, dlam = minimize._newton_step(jac, r, fn.stiffness_solver(grid), stats, col, 0.3)
+        bordered = sp.bmat([[jac, col[:, None]], [col[None, :], None]]).tocsc()
+        want = spla.spsolve(bordered, -np.append(r, 0.3))
+        got = np.append(dw, dlam)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        assert stats.linear_solves == 1
+        assert 1 <= stats.krylov_iterations < minimize.KRYLOV_MAX
+        assert stats.krylov_capped == 0
+
+    def test_plain_step_matches_a_direct_solve(self, ground_128x48):
+        grid, jac, r, _ = self._system(ground_128x48)
+        dw, dlam = minimize._newton_step(
+            jac, r, fn.stiffness_solver(grid), minimize.SolveStats()
+        )
+        want = spla.spsolve(jac.tocsc(), -r)
+        assert dlam == 0.0
+        assert np.linalg.norm(dw - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_capped_solve_is_a_failed_step(self, ground_128x48, monkeypatch):
+        grid, jac, r, col = self._system(ground_128x48)
+        monkeypatch.setattr(minimize, "KRYLOV_MAX", 2)
+        stats = minimize.SolveStats()
+        got = minimize._newton_step(jac, r, fn.stiffness_solver(grid), stats, col, 0.0)
+        assert got is None
+        assert (stats.linear_solves, stats.krylov_capped) == (1, 1)
 
 
 class TestResultPayload:
@@ -346,7 +403,9 @@ class TestResultPayload:
             "teleports_accepted",
             "teleports_refused",
             "shift_increases",
-            "lu_factorizations",
+            "linear_solves",
+            "krylov_iterations",
+            "krylov_capped",
         }
         assert all(isinstance(v, int) and v >= 0 for v in d["stats"].values())
         stats = result.stats

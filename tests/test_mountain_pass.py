@@ -140,6 +140,12 @@ class TestMountainPass:
         assert rayleigh(result.w, 1.0, 4.0).quotient == pytest.approx(
             result.beta, rel=1e-13
         )
+        # the argmax node was polished by Newton steps, none capped
+        stats = result.stats
+        assert 1 <= stats.polishes_accepted <= stats.polishes_tried
+        assert stats.linear_solves <= stats.krylov_iterations
+        assert 1 <= stats.linear_solves
+        assert stats.krylov_capped == 0
 
         with open(trace) as fh:
             rows = list(csv.reader(fh))

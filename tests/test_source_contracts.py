@@ -3,9 +3,11 @@
 Invariants raise ContractViolationError rather than relying on assert,
 which python -O strips; no module reaches into another module's private
 (underscore) names, so each module's internals can change alone; every
-module-level function, class and constant is used somewhere; and no
-module imports a concurrency library, so the package runs in one thread
-and its per-grid cache needs no lock.
+module-level function, class and constant is used somewhere; no module
+imports a concurrency library, so the package runs in one thread and its
+per-grid cache needs no lock; and no module reaches a sparse direct
+factorization, so every linear solve goes through the tensor-product
+stiffness solver or MINRES.
 """
 
 import ast
@@ -66,6 +68,28 @@ def test_no_concurrency_import(path):
             continue
         found += [f"{node.lineno}: {n}" for n in names if n.split(".")[0] in CONCURRENCY_MODULES]
     assert found == [], f"{path.name} imports concurrency modules: {found}"
+
+
+SPARSE_DIRECT = {"splu", "spsolve", "factorized", "spilu"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_sparse_direct_factorization(path):
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in SPARSE_DIRECT:
+            found.append(f"{getattr(node, 'lineno', '?')}: {name}")
+    assert found == [], f"{path.name} reaches a sparse direct solver: {found}"
 
 
 def _definitions(tree: ast.Module):

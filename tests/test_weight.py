@@ -9,12 +9,13 @@ from scipy.integrate import quad
 from henon_annulus import ConfigurationError, DomainError, build_axi_grid, build_radial_grid
 from henon_annulus.weight import (
     WeightSpec,
-    cell_weighted_integral,
     radial_rule,
     subdivision_count,
     theta_rule,
     weight_eval,
 )
+
+from cell_quadrature import cell_weighted_integral
 
 
 def _quad_reference(a, b, alpha, f):
