@@ -7,25 +7,34 @@ set with --format csv) and communicates outcome through the exit code:
     2   a solve finished without meeting its convergence contract
     3   the request itself was invalid (bad flag, bad grid, bad spec file)
 
+Each subcommand accepts only the options its handler reads, and an option
+left unset is not passed on: its default is the one of the function that
+reads it.
+
 --log-level sends the package's log records at that level and above to
 stderr (DEBUG shows each Newton teleport of the descent).
 
 A plain-text configuration file (``key = value`` per line, ``#`` comments)
-may supply any long flag via --config; values given on the command line
-win. Field snapshots requested with --snapshot are CSV nodal dumps with
-header ``r,theta,value`` (radial snapshots drop the theta column).
+given with --config may set any long option of the same command (``force =
+true`` or ``false`` for fit's switch); values given on the command line
+win, and a key that names no option of the command exits 3. Field
+snapshots requested with --snapshot are CSV nodal dumps with header
+``r,theta,value`` (radial snapshots drop the theta column).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import logging
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import harness as hn
 from . import minimize as mz
@@ -33,17 +42,47 @@ from .diagnostics import CutoffSpec, asymmetry_index, concentration_report
 from .errors import HenonAnnulusError, NonConvergenceError
 from .geometry import ProblemParams, build_axi_grid, build_radial_grid
 from .mountain_pass import mountain_pass, path_crossing, straight_path
-from .profiles import InstantonParams, instanton
+from .profiles import BUBBLE_EPS, InstantonParams, instanton
 
 EXIT_OK = 0
 EXIT_NONCONVERGED = 2
 EXIT_INVALID = 3
 
-DEFAULT_RADIAL_CELLS = hn.DEFAULT_RADIAL_CELLS
-DEFAULT_NR = hn.DEFAULT_NR
-DEFAULT_NTHETA = hn.DEFAULT_NTHETA
-MPASS_TOL = 1e-5
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+# Every option any command takes, by dest. Each is None unless given, so a
+# handler passes on only what the command line or the config set.
+_OPTIONS = {
+    "out": {"help": "write the result here instead of stdout"},
+    "format": {"choices": ("json", "csv"), "help": "output format (default json)"},
+    "config": {"help": "key = value file setting this command's options; the command line wins"},
+    "log_level": {"type": str.upper, "choices": LOG_LEVELS,
+                  "help": "log to stderr from this level (default WARNING)"},
+    "alpha": {"type": float, "help": "weight exponent alpha >= 0"},
+    "p": {"type": float, "help": "nonlinearity exponent, 2 < p < 2N/(N-2)"},
+    "dim": {"type": int, "help": "ambient dimension N (default 3)"},
+    "nr": {"type": int, "help": "radial cells"},
+    "ntheta": {"type": int, "help": "angular cells"},
+    "tol": {"type": float, "help": "convergence tolerance"},
+    "snapshot": {"help": "write the solution field as CSV to this path"},
+    "ctol": {"type": float, "help": "balanced-set constraint tolerance"},
+    "eps": {"type": float, "help": "instanton concentration parameter"},
+    "delta": {"type": float, "help": "boundary cutoff width for the concentration report"},
+    "seed": {"type": int, "help": "seed recorded with sweep results"},
+    "segments": {"type": int, "help": f"path segments (default {hn.PATH_SEGMENTS})"},
+    "maxit": {"type": int, "help": "sweep budget"},
+    "trace": {"help": "CSV trace of (iteration, node, quotient)"},
+    "axis": {"choices": ("alpha", "p"), "help": "parameter that varies"},
+    "values": {"help": "comma-separated ascending values"},
+    "levels": {"help": "comma-separated subset of S_rad,S,T,beta"},
+    "n_radial": {"type": int, "help": "radial cells for S_rad points"},
+    "level": {"help": "level tag to fit (default S_rad)"},
+    "force": {"action": "store_true", "help": "fit despite non-converged records"},
+}
+
+_IO = ("out", "format", "config", "log_level")
+_RADIAL_POINT = ("alpha", "p", "dim", "nr", "tol", "snapshot")
+_AXI_POINT = _RADIAL_POINT + ("ntheta",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,182 +107,105 @@ def read_config(path: str) -> dict[str, str]:
     return table
 
 
-def _resolve(args: argparse.Namespace, name: str, cast, default):
-    """CLI value if given, else config-file value, else the default."""
-    given = getattr(args, name, None)
-    if given is not None:
-        return given
-    config = getattr(args, "_config_table", {})
-    if name in config:
-        return cast(config[name])
-    return default
+def _or(value, default):
+    return default if value is None else value
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="henon-annulus", description=__doc__.split("\n")[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=None, help="weight exponent alpha >= 0")
-    common.add_argument("--p", type=float, default=None, help="nonlinearity exponent, 2 < p < 2N/(N-2)")
-    common.add_argument("--dim", type=int, default=None, help="ambient dimension N (default 3)")
-    common.add_argument("--nr", type=int, default=None, help="radial cells")
-    common.add_argument("--ntheta", type=int, default=None, help="angular cells (axisymmetric grids)")
-    common.add_argument("--tol", type=float, default=None, help="convergence tolerance")
-    common.add_argument("--ctol", type=float, default=None, help="balanced-set constraint tolerance")
-    common.add_argument("--eps", type=float, default=None, help="instanton concentration parameter")
-    common.add_argument("--delta", type=float, default=None, help="boundary cutoff width for diagnostics")
-    common.add_argument("--seed", type=int, default=None, help="seed recorded with sweep results")
-    common.add_argument("--out", default=None, help="write the result here instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default json)")
-    common.add_argument("--config", default=None, help="key = value file supplying any flag; CLI wins")
-    common.add_argument("--snapshot", default=None, help="write the solution field as CSV to this path")
-    common.add_argument("--log-level", dest="log_level", type=str.upper, choices=LOG_LEVELS,
-                        default=None, help="log to stderr from this level (default WARNING)")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve-radial", parents=[common], help="radial minimizer S_rad")
-    sub.add_parser("solve-ground", parents=[common], help="global minimizer S on the axisymmetric grid")
-    sub.add_parser("solve-sigma", parents=[common], help="balanced-energy minimizer T")
-    sub.add_parser("solve-lambda", parents=[common], help="inner-heavy local minimizer")
-
-    mpass = sub.add_parser("mountain-pass", parents=[common], help="path level beta between the two instantons")
-    mpass.add_argument("--segments", type=int, default=None, help="path segments (default 12)")
-    mpass.add_argument("--maxit", type=int, default=None, help="sweep budget")
-    mpass.add_argument("--trace", default=None, help="CSV trace of (iteration, node, quotient)")
-
-    sweep = sub.add_parser("sweep", parents=[common], help="solve a family of parameter points")
-    sweep.add_argument("--axis", choices=("alpha", "p"), default=None, help="parameter that varies")
-    sweep.add_argument("--values", default=None, help="comma-separated ascending values")
-    sweep.add_argument("--levels", default=None, help="comma-separated subset of S_rad,S,T,beta")
-    sweep.add_argument("--n-radial", dest="n_radial", type=int, default=None, help="radial cells for S_rad points")
-
-    sub.add_parser("diagnose", parents=[common], help="concentration report for the ground state")
-
-    fit = sub.add_parser("fit", parents=[common], help="log-log slope of a level against alpha")
-    fit.add_argument("records", help="JSONL sweep records")
-    fit.add_argument("--level", default=None, help="level tag to fit (default S_rad)")
-    fit.add_argument("--force", action="store_true", help="fit despite non-converged records")
-    return parser
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named options that the command line or the config set."""
+    values = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
 
 
-def _emit(payload: dict, args: argparse.Namespace, csv_rows=None) -> None:
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _emit(payload: dict, args: argparse.Namespace, csv_rows: list[list[str]]) -> None:
     """JSON object by default; csv_rows (header + rows) when --format csv."""
-    fmt = _resolve(args, "format", str, "json")
-    out = _resolve(args, "out", str, None)
-    if fmt == "csv" and csv_rows is not None:
+    if _or(args.format, "json") == "csv":
         buffer = io.StringIO()
-        import csv as _csv
-
-        writer = _csv.writer(buffer)
-        writer.writerows(csv_rows)
+        csv.writer(buffer).writerows(csv_rows)
         text = buffer.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as sink:
+        with open(args.out, "w", encoding="utf-8") as sink:
             sink.write(text)
 
 
-def _level_rows(result: mz.SolveResult) -> list[list[str]]:
-    return [
-        ["alpha", "p", "level_tag", "value", "converged", "grid"],
-        [
-            f"{result.params.alpha:.17g}",
-            f"{result.params.p:.17g}",
-            result.report.level_tag,
-            f"{result.report.quotient:.17g}",
-            str(bool(result.converged)).lower(),
-            result.report.grid,
-        ],
-    ]
+def _finish(payload: dict, args: argparse.Namespace, field, row: tuple) -> int:
+    """Snapshot the field if asked, emit the payload, map convergence to a code."""
+    if args.snapshot is not None:
+        hn.write_snapshot(field, args.snapshot)
+    _emit(payload, args, hn.level_rows([row]))
+    return EXIT_OK if payload["converged"] else EXIT_NONCONVERGED
+
+
+def _solve_row(result: mz.SolveResult) -> tuple:
+    return (result.params.alpha, result.params.p, result.report.level_tag,
+            result.report.quotient, result.converged, result.report.grid)
 
 
 def _point_params(args: argparse.Namespace) -> ProblemParams:
-    alpha = _resolve(args, "alpha", float, None)
-    p = _resolve(args, "p", float, None)
-    if alpha is None or p is None:
+    if args.alpha is None or args.p is None:
         raise ValueError("--alpha and --p are required for this command")
-    dim = _resolve(args, "dim", int, 3)
     # p = 2 has no variational content (linear eigenvalue); permitted on the
     # command line purely as the closed-form validation case.
-    return ProblemParams(alpha, p, dim=dim, validation_mode=(p == 2.0))
-
-
-def _radial_grid(args: argparse.Namespace, dim: int):
-    n = _resolve(args, "nr", int, DEFAULT_RADIAL_CELLS)
-    return build_radial_grid(n, "graded", dim=dim)
+    return ProblemParams(
+        args.alpha, args.p, **_given(args, "dim"), validation_mode=(args.p == 2.0)
+    )
 
 
 def _axi_grid(args: argparse.Namespace):
-    nr = _resolve(args, "nr", int, DEFAULT_NR)
-    ntheta = _resolve(args, "ntheta", int, DEFAULT_NTHETA)
-    return build_axi_grid(nr, ntheta, "graded-polar")
+    return build_axi_grid(
+        _or(args.nr, hn.DEFAULT_NR), _or(args.ntheta, hn.DEFAULT_NTHETA), "graded-polar"
+    )
 
 
-def _finish_solve(result: mz.SolveResult, args: argparse.Namespace, elapsed: float) -> int:
-    payload = result.to_json_dict()
-    payload["elapsed"] = elapsed
-    snapshot = _resolve(args, "snapshot", str, None)
-    if snapshot is not None:
-        hn.write_snapshot(result.field, snapshot)
-    _emit(payload, args, csv_rows=_level_rows(result))
-    return EXIT_OK if result.converged else EXIT_NONCONVERGED
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    options: tuple[str, ...]
 
 
-def _cmd_solve_radial(args: argparse.Namespace) -> int:
-    params = _point_params(args)
-    grid = _radial_grid(args, params.dim)
-    tol = _resolve(args, "tol", float, mz.DEFAULT_TOL)
-    started = time.perf_counter()
-    result = mz.solve_radial(params, grid, tol=tol)
-    return _finish_solve(result, args, time.perf_counter() - started)
+def _solve(help: str, axi: bool, solver: Callable, *extras: str) -> _Command:
+    """One solve command: its grid, its solver and the solver's own options."""
 
+    def handler(args: argparse.Namespace) -> int:
+        params = _point_params(args)
+        if axi:
+            grid = _axi_grid(args)
+        else:
+            grid = build_radial_grid(
+                _or(args.nr, hn.DEFAULT_RADIAL_CELLS), "graded", dim=params.dim
+            )
+        started = time.perf_counter()
+        result = solver(params, grid, **_given(args, "tol", *extras))
+        payload = result.to_json_dict()
+        payload["elapsed"] = time.perf_counter() - started
+        return _finish(payload, args, result.field, _solve_row(result))
 
-def _cmd_solve_ground(args: argparse.Namespace) -> int:
-    params = _point_params(args)
-    grid = _axi_grid(args)
-    tol = _resolve(args, "tol", float, mz.DEFAULT_TOL)
-    started = time.perf_counter()
-    result = mz.solve_ground(params, grid, tol=tol)
-    return _finish_solve(result, args, time.perf_counter() - started)
-
-
-def _cmd_solve_sigma(args: argparse.Namespace) -> int:
-    params = _point_params(args)
-    grid = _axi_grid(args)
-    tol = _resolve(args, "tol", float, mz.DEFAULT_TOL)
-    ctol = _resolve(args, "ctol", float, 1e-4)
-    started = time.perf_counter()
-    result = mz.solve_sigma(params, grid, tol=tol, ctol=ctol)
-    return _finish_solve(result, args, time.perf_counter() - started)
-
-
-def _cmd_solve_lambda(args: argparse.Namespace) -> int:
-    params = _point_params(args)
-    grid = _axi_grid(args)
-    tol = _resolve(args, "tol", float, mz.DEFAULT_TOL)
-    eps = _resolve(args, "eps", float, 1e-3)
-    started = time.perf_counter()
-    result = mz.solve_lambda(params, grid, tol=tol, eps=eps)
-    return _finish_solve(result, args, time.perf_counter() - started)
+    return _Command(help, handler, _IO + (_AXI_POINT if axi else _RADIAL_POINT) + extras)
 
 
 def _cmd_mountain_pass(args: argparse.Namespace) -> int:
     params = _point_params(args)
     grid = _axi_grid(args)
-    eps = _resolve(args, "eps", float, 1e-3)
-    segments = _resolve(args, "segments", int, hn.PATH_SEGMENTS)
-    tol = _resolve(args, "tol", float, MPASS_TOL)
-    maxit = _resolve(args, "maxit", int, 2000)
-    trace = _resolve(args, "trace", str, None)
+    eps = _or(args.eps, BUBBLE_EPS)
+    segments = _or(args.segments, hn.PATH_SEGMENTS)
 
     started = time.perf_counter()
     u0 = instanton(InstantonParams(eps, 0), grid)
     u1 = instanton(InstantonParams(eps, 1), grid)
     path = straight_path(u0, u1, segments, params.alpha, params.p)
     crossing = path_crossing(path)
-    result = mountain_pass(path, params, tol=tol, maxit=maxit, trace_csv=trace)
+    result = mountain_pass(
+        path, params, **_given(args, "tol", "maxit"), trace_csv=args.trace
+    )
     elapsed = time.perf_counter() - started
 
     payload = {
@@ -261,55 +223,28 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> int:
         "grid": grid.descriptor,
         "elapsed": elapsed,
     }
-    snapshot = _resolve(args, "snapshot", str, None)
-    if snapshot is not None:
-        hn.write_snapshot(result.w, snapshot)
-    rows = [
-        ["alpha", "p", "level_tag", "value", "converged", "grid"],
-        [
-            f"{params.alpha:.17g}",
-            f"{params.p:.17g}",
-            "beta",
-            f"{result.beta:.17g}",
-            str(bool(result.converged)).lower(),
-            grid.descriptor,
-        ],
-    ]
-    _emit(payload, args, csv_rows=rows)
-    return EXIT_OK if result.converged else EXIT_NONCONVERGED
-
-
-def _parse_values(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    row = (params.alpha, params.p, "beta", result.beta, result.converged, grid.descriptor)
+    return _finish(payload, args, result.w, row)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    axis = _resolve(args, "axis", str, None)
-    values_text = _resolve(args, "values", str, None)
-    if axis is None or values_text is None:
+    if args.axis is None or args.values is None:
         raise ValueError("sweep requires --axis and --values")
-    fixed = _resolve(args, "p" if axis == "alpha" else "alpha", float, None)
+    fixed_name = "p" if args.axis == "alpha" else "alpha"
+    fixed = {"alpha": args.alpha, "p": args.p}[fixed_name]
     if fixed is None:
-        flag = "--p" if axis == "alpha" else "--alpha"
-        raise ValueError(f"sweep over {axis} requires the fixed value {flag}")
-    levels_text = _resolve(args, "levels", str, "S_rad")
+        raise ValueError(f"sweep over {args.axis} requires the fixed value --{fixed_name}")
+    options = _given(args, "dim", "n_radial", "nr", "ntheta", "tol", "ctol", "eps",
+                     "delta", "seed")
+    if args.levels is not None:
+        options["levels"] = _split(args.levels)
     spec = hn.SweepSpec(
-        axis=axis,
-        values=_parse_values(values_text),
+        axis=args.axis,
+        values=tuple(float(part) for part in _split(args.values)),
         fixed=fixed,
-        levels=tuple(part.strip() for part in levels_text.split(",") if part.strip()),
-        dim=_resolve(args, "dim", int, 3),
-        n_radial=_resolve(args, "n_radial", int, DEFAULT_RADIAL_CELLS),
-        nr=_resolve(args, "nr", int, DEFAULT_NR),
-        ntheta=_resolve(args, "ntheta", int, DEFAULT_NTHETA),
-        tol=_resolve(args, "tol", float, mz.DEFAULT_TOL),
-        ctol=_resolve(args, "ctol", float, 1e-4),
-        eps=_resolve(args, "eps", float, 1e-3),
-        delta=_resolve(args, "delta", float, 0.25),
-        seed=_resolve(args, "seed", int, 0),
+        **options,
     )
-    fmt = _resolve(args, "format", str, "json")
-    out = _resolve(args, "out", str, None)
+    fmt, out = _or(args.format, "json"), args.out
 
     # JSONL goes through the sweep's own append-only sink; the CSV summary
     # is derived from the finished records.
@@ -331,11 +266,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     params = _point_params(args)
     grid = _axi_grid(args)
-    tol = _resolve(args, "tol", float, mz.DEFAULT_TOL)
-    delta = _resolve(args, "delta", float, 0.25)
+    cutoff = CutoffSpec(**_given(args, "delta"))
     started = time.perf_counter()
-    result = mz.solve_ground(params, grid, tol=tol)
-    report = concentration_report(result.field, params.alpha, params.p, CutoffSpec(delta))
+    result = mz.solve_ground(params, grid, **_given(args, "tol"))
+    report = concentration_report(result.field, params.alpha, params.p, cutoff)
     payload = {
         "params": {"dim": params.dim, "alpha": params.alpha, "p": params.p},
         "level": result.report.quotient,
@@ -345,18 +279,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         "concentration": report.to_dict(),
         "elapsed": time.perf_counter() - started,
     }
-    snapshot = _resolve(args, "snapshot", str, None)
-    if snapshot is not None:
-        hn.write_snapshot(result.field, snapshot)
-    _emit(payload, args, csv_rows=_level_rows(result))
-    return EXIT_OK if result.converged else EXIT_NONCONVERGED
+    return _finish(payload, args, result.field, _solve_row(result))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     records = hn.load_records(args.records)
-    level = _resolve(args, "level", str, "S_rad")
-    force = bool(getattr(args, "force", False))
-    slope, r_squared = hn.fit_exponent(records, level, force=force)
+    level = _or(args.level, "S_rad")
+    slope, r_squared = hn.fit_exponent(records, level, **_given(args, "force"))
     payload = {
         "level": level,
         "slope": slope,
@@ -367,27 +296,76 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         ["level", "slope", "r_squared", "records"],
         [level, f"{slope:.17g}", f"{r_squared:.17g}", str(len(records))],
     ]
-    _emit(payload, args, csv_rows=rows)
+    _emit(payload, args, rows)
     return EXIT_OK
 
 
+# The parser and the config check are both built from this table, so a
+# command accepts exactly the options its handler reads.
 _COMMANDS = {
-    "solve-radial": _cmd_solve_radial,
-    "solve-ground": _cmd_solve_ground,
-    "solve-sigma": _cmd_solve_sigma,
-    "solve-lambda": _cmd_solve_lambda,
-    "mountain-pass": _cmd_mountain_pass,
-    "sweep": _cmd_sweep,
-    "diagnose": _cmd_diagnose,
-    "fit": _cmd_fit,
+    "solve-radial": _solve("radial minimizer S_rad", False, mz.solve_radial),
+    "solve-ground": _solve("global minimizer S on the axisymmetric grid", True, mz.solve_ground),
+    "solve-sigma": _solve("balanced-energy minimizer T", True, mz.solve_sigma, "ctol"),
+    "solve-lambda": _solve("inner-heavy local minimizer", True, mz.solve_lambda, "eps"),
+    "mountain-pass": _Command(
+        "path level beta between the two instantons", _cmd_mountain_pass,
+        _IO + _AXI_POINT + ("eps", "segments", "maxit", "trace"),
+    ),
+    "sweep": _Command(
+        "solve a family of parameter points", _cmd_sweep,
+        _IO + ("alpha", "p", "dim", "nr", "ntheta", "tol", "ctol", "eps", "delta", "seed",
+               "axis", "values", "levels", "n_radial"),
+    ),
+    "diagnose": _Command(
+        "concentration report for the ground state", _cmd_diagnose,
+        _IO + _AXI_POINT + ("delta",),
+    ),
+    "fit": _Command(
+        "log-log slope of a level against alpha", _cmd_fit, _IO + ("level", "force")
+    ),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="henon-annulus", description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        if name == "fit":
+            cmd.add_argument("records", help="JSONL sweep records")
+        for dest in command.options:
+            flag = "--" + dest.replace("_", "-")
+            cmd.add_argument(flag, dest=dest, default=None, **_OPTIONS[dest])
+        cmd.set_defaults(handler=command.handler)
+    return parser
+
+
+def _apply_config(args: argparse.Namespace, table: dict[str, str]) -> None:
+    """Fill the options the command line left unset from the config table."""
+    options = _COMMANDS[args.command].options
+    for key, text in table.items():
+        if key not in options or key == "config":
+            raise ValueError(f"config key {key!r} names no option of {args.command}")
+        if getattr(args, key) is not None:
+            continue
+        spec = _OPTIONS[key]
+        if spec.get("action") == "store_true":
+            if text.lower() not in ("true", "false"):
+                raise ValueError(f"config key {key!r} must be true or false, got {text!r}")
+            value = text.lower() == "true"
+        else:
+            value = spec.get("type", str)(text)
+            if "choices" in spec and value not in spec["choices"]:
+                raise ValueError(
+                    f"config key {key!r} must be one of {', '.join(spec['choices'])}, "
+                    f"got {text!r}"
+                )
+        setattr(args, key, value)
 
 
 @contextlib.contextmanager
 def _stderr_logging(level: str):
     """Send the package's log records at level and above to stderr."""
-    if level not in LOG_LEVELS:
-        raise ValueError(f"log level must be one of {', '.join(LOG_LEVELS)}, got {level!r}")
     logger = logging.getLogger("henon_annulus")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -402,13 +380,12 @@ def _stderr_logging(level: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
+    args = build_parser().parse_args(argv)
     try:
-        args._config_table = read_config(config_path) if config_path else {}
-        with _stderr_logging(_resolve(args, "log_level", str.upper, "WARNING")):
-            return _COMMANDS[args.command](args)
+        if args.config is not None:
+            _apply_config(args, read_config(args.config))
+        with _stderr_logging(_or(args.log_level, "WARNING")):
+            return args.handler(args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

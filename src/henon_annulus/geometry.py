@@ -157,10 +157,6 @@ class RadialGrid:
         return int(np.nonzero(self.nodes == MID_RADIUS)[0][0])
 
     @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
     def dirichlet_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_nodes, dtype=bool)
         mask[0] = mask[-1] = True

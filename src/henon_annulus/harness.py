@@ -43,7 +43,7 @@ from .geometry import (
     build_axi_grid,
     build_radial_grid,
 )
-from .profiles import CutoffSpec, InstantonParams, instanton
+from .profiles import BUBBLE_EPS, DEFAULT_DELTA, CutoffSpec, InstantonParams, instanton
 
 LEVEL_CHOICES = ("S_rad", "S", "T", "beta")
 DEFAULT_RADIAL_CELLS = 2000
@@ -68,9 +68,9 @@ class SweepSpec:
     nr: int = DEFAULT_NR
     ntheta: int = DEFAULT_NTHETA
     tol: float = mz.DEFAULT_TOL
-    ctol: float = 1e-4
-    eps: float = 1e-3
-    delta: float = 0.25
+    ctol: float = mz.DEFAULT_CTOL
+    eps: float = BUBBLE_EPS
+    delta: float = DEFAULT_DELTA
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -211,14 +211,14 @@ def _solve_point(
                 "value": res.beta,
                 "converged": res.converged,
                 "grid": axi_grid.descriptor,
-                "tol": spec.tol,
+                "tol": mp.PASS_TOL,
                 "iterations": res.iterations,
                 "endpoints": list(res.endpoint_levels),
                 "straight_max": res.straight_max,
                 "stats": dataclasses.asdict(res.stats),
             }
         except HenonAnnulusError as exc:
-            levels["beta"] = _failed_entry(axi_grid.descriptor, spec.tol, exc)
+            levels["beta"] = _failed_entry(axi_grid.descriptor, mp.PASS_TOL, exc)
 
     if ground_field is not None:
         try:
@@ -364,37 +364,41 @@ def chain_check(record: ResultRecord, *, tol: float = CHAIN_TOL) -> dict[str, st
     return report
 
 
+def level_rows(levels) -> list[list[str]]:
+    """Header and one row per (alpha, p, tag, value, converged, grid) level.
+
+    A failed level has value None and an empty value cell.
+    """
+    rows = [["alpha", "p", "level_tag", "value", "converged", "grid"]]
+    for alpha, p, tag, value, converged, grid in levels:
+        rows.append([
+            f"{alpha:.17g}",
+            f"{p:.17g}",
+            tag,
+            "" if value is None else f"{value:.17g}",
+            str(bool(converged)).lower(),
+            grid,
+        ])
+    return rows
+
+
 def write_levels_csv(records: list[ResultRecord], path) -> None:
     """Flat one-row-per-level summary for plotting.
 
     ``path`` is a filename or any open text stream (the CLI passes stdout).
     """
+    rows = level_rows(
+        (record.alpha, record.p, tag, entry.get("value"),
+         entry.get("converged", False), entry.get("grid", ""))
+        for record in records
+        for tag in LEVEL_CHOICES
+        if (entry := record.levels.get(tag)) is not None
+    )
     if hasattr(path, "write"):
-        _write_levels_rows(records, path)
+        csv.writer(path).writerows(rows)
         return
     with open(path, "w", encoding="utf-8", newline="") as sink:
-        _write_levels_rows(records, sink)
-
-
-def _write_levels_rows(records: list[ResultRecord], sink) -> None:
-    writer = csv.writer(sink)
-    writer.writerow(["alpha", "p", "level_tag", "value", "converged", "grid"])
-    for record in records:
-        for tag in LEVEL_CHOICES:
-            entry = record.levels.get(tag)
-            if entry is None:
-                continue
-            value = entry.get("value")
-            writer.writerow(
-                [
-                    f"{record.alpha:.17g}",
-                    f"{record.p:.17g}",
-                    tag,
-                    "" if value is None else f"{value:.17g}",
-                    str(bool(entry.get("converged", False))).lower(),
-                    entry.get("grid", ""),
-                ]
-            )
+        csv.writer(sink).writerows(rows)
 
 
 def write_snapshot(u: DiscreteField, path: str) -> None:

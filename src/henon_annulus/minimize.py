@@ -64,11 +64,12 @@ from .errors import (
     NonConvergenceError,
 )
 from .geometry import AxiGrid, DiscreteField, ProblemParams, RadialGrid, embed_radial
-from .profiles import InstantonParams, instanton
+from .profiles import BUBBLE_EPS, InstantonParams, instanton
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10
+DEFAULT_CTOL = 1e-4
 GRADIENT_FACTOR = 1e-7
 RESIDUAL_TOL = 1e-6
 MAX_ITERATIONS = 10_000
@@ -762,7 +763,7 @@ def solve_sigma(
     params: ProblemParams,
     grid: AxiGrid,
     tol: float = DEFAULT_TOL,
-    ctol: float = 1e-4,
+    ctol: float = DEFAULT_CTOL,
 ) -> SolveResult:
     """Minimize subject to E_plus = E_minus (level T).
 
@@ -815,7 +816,7 @@ def solve_lambda(
     params: ProblemParams,
     grid: AxiGrid,
     tol: float = DEFAULT_TOL,
-    eps: float = 1e-3,
+    eps: float = BUBBLE_EPS,
     index: int = 1,
 ) -> SolveResult:
     """Descent from a boundary bubble (second local minimum hunt).

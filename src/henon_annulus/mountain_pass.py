@@ -18,8 +18,10 @@ at half the local node spacing, and the redistribution keeps the argmax
 node as a node, so re-sampling the polygon never raises the node
 maximum. The iteration stops when the
 argmax node is an approximate critical point, measured by the same
-scaled residual the solvers certify, and the argmax node is periodically
-offered the Newton teleport since plain descent crawls near a saddle.
+scaled residual the solvers certify (at most PASS_TOL by default). Plain
+descent crawls near a saddle, so once the argmax node is near-critical
+(scaled residual at most 1e-2) it is offered the Newton teleport on every
+sweep.
 
 Every path with endpoints in the two half-annulus basins crosses the
 balanced set: the sign of E_plus - E_minus flips along it, which is what
@@ -46,7 +48,7 @@ from .minimize import SolveStats, newton
 
 MIN_SEGMENTS = 9
 REDISTRIBUTE_EVERY = 20
-POLISH_EVERY = 25
+PASS_TOL = 1e-5
 BACKTRACK_MAX = 8
 
 
@@ -202,8 +204,7 @@ def _redistribute(path: PathState, matrix, pin: int) -> PathState | None:
 def mountain_pass(
     path: PathState,
     params: ProblemParams,
-    step: float = 1.0,
-    tol: float = 1e-5,
+    tol: float = PASS_TOL,
     maxit: int = 2000,
     trace_csv: str | None = None,
 ) -> MpassResult:
@@ -215,8 +216,6 @@ def mountain_pass(
     """
     if (params.alpha, params.p) != (path.alpha, path.p):
         raise ConfigurationError("path was built for different (alpha, p)")
-    if step <= 0.0:
-        raise ConfigurationError(f"step must be positive, got {step}")
     if len(path.nodes) - 1 < MIN_SEGMENTS:
         raise ConfigurationError(f"path needs at least {MIN_SEGMENTS} segments")
     alpha, p = path.alpha, path.p
@@ -258,7 +257,6 @@ def mountain_pass(
 
     stats, newton_stats = MpassStats(), SolveStats()
     try:
-        last_polish = 0
         polish_memo: tuple = (None, None)
         while iterations < maxit:
             top_residual = argmax_residual()
@@ -299,7 +297,7 @@ def mountain_pass(
                 )
                 if dnorm == 0.0 or cap == 0.0:
                     continue
-                s = min(step, cap / dnorm)
+                s = min(1.0, cap / dnorm)
                 for _ in range(BACKTRACK_MAX):
                     trial_vals = nodes[k].values + s * d
                     trial = nodes[k].with_values(trial_vals)
@@ -338,17 +336,13 @@ def mountain_pass(
                             break
                     s *= 0.5
             # A saddle starves plain descent, so the argmax node gets the
-            # same Newton teleport the solvers use: periodically, and on
-            # every sweep once the argmax is near-critical, so Newton can
-            # close in from above before the creeping dynamics overshoots
-            # the pass level. Accepted only under the running max, above
-            # the flanking nodes, and within the local node spacing, else
-            # the polygon would tear and the discrete maximum could dodge
-            # the pass.
-            if p > 2.0 and (
-                iterations - last_polish >= POLISH_EVERY or top_residual <= 1e-2
-            ):
-                last_polish = iterations
+            # same Newton teleport the solvers use on every sweep once it is
+            # near-critical, so Newton can close in from above before the
+            # creeping dynamics overshoots the pass level. Accepted only
+            # under the running max, above the flanking nodes, and within
+            # the local node spacing, else the polygon would tear and the
+            # discrete maximum could dodge the pass.
+            if p > 2.0 and top_residual <= 1e-2:
                 k = int(np.argmax(quotients))
                 if 0 < k < m:
                     # Newton depends on the node alone, and a stalled

@@ -32,7 +32,10 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolationError, DomainError
 from .geometry import AxiGrid, DiscreteField, RadialGrid
 
-BUMP_PROFILES = ("smooth",)
+# eps of the boundary bubbles that start the second-minimum solve and end
+# the mountain-pass path, and the default half-width of the cutoff dead band
+BUBBLE_EPS = 1e-3
+DEFAULT_DELTA = 0.25
 
 
 def _bump(t):
@@ -45,19 +48,13 @@ def _bump(t):
     return out
 
 
-def _check_profile(profile: str) -> None:
-    if profile not in BUMP_PROFILES:
-        raise ConfigurationError(f"unknown bump profile {profile!r}")
-
-
-def radial_bump(alpha: float, grid: RadialGrid, profile: str = "smooth") -> DiscreteField:
+def radial_bump(alpha: float, grid: RadialGrid) -> DiscreteField:
     """psi_alpha(r) = psi(alpha (r - 3) + 3), supported in (3 - 2/alpha, 3).
 
     psi is the fixed bump on (1, 3) centered at 2; the substitution squeezes
     it against the outer boundary with width 2/alpha. Requires alpha >= 2 so
     the support stays inside the annulus.
     """
-    _check_profile(profile)
     if not isinstance(grid, RadialGrid):
         raise ConfigurationError("radial_bump expects a radial grid")
     if alpha < 2.0:
@@ -68,7 +65,6 @@ def radial_bump(alpha: float, grid: RadialGrid, profile: str = "smooth") -> Disc
 def boundary_bump(
     alpha: float,
     grid: AxiGrid,
-    profile: str = "smooth",
     *,
     center_theta: float = 0.0,
 ) -> DiscreteField:
@@ -77,7 +73,6 @@ def boundary_bump(
     The center sits on the symmetry axis; any off-axis center is rejected
     because the reduction is axisymmetric. Requires alpha >= 4.
     """
-    _check_profile(profile)
     if not isinstance(grid, AxiGrid):
         raise ConfigurationError("boundary_bump expects an axisymmetric grid")
     if alpha < 4.0:
@@ -175,7 +170,7 @@ def instanton(ip: InstantonParams, grid: AxiGrid) -> DiscreteField:
 class CutoffSpec:
     """Half-width delta of the dead band around r = 2 for the decomposition."""
 
-    delta: float = 0.25
+    delta: float = DEFAULT_DELTA
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 0.5):

@@ -48,25 +48,22 @@ GAUSS_ORDER = 4
 VARIATION_PER_SUBCELL = 1.0
 LOG_WIDTH_PER_SUBCELL = 0.3
 MAX_SUBCELLS = 256
+# weights below this are flushed to exactly 0
+UNDERFLOW_FLOOR = 1e-300
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Exponent alpha and the flush threshold for underflowing weights."""
+    """Exponent alpha of the weight |r - 2|^alpha."""
 
     alpha: float
-    underflow_floor: float = 1e-300
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= ALPHA_CAP):
             raise ConfigurationError(
                 f"alpha must lie in [0, {ALPHA_CAP:g}], got {self.alpha!r}"
-            )
-        if not (1e-300 <= self.underflow_floor <= 1e-30):
-            raise ConfigurationError(
-                f"underflow floor must lie in [1e-300, 1e-30], got {self.underflow_floor!r}"
             )
 
 
@@ -86,7 +83,7 @@ def weight_eval(r, spec: WeightSpec):
     out = np.zeros_like(d)
     pos = d > 0.0
     out[pos] = np.exp(spec.alpha * np.log(d[pos]))
-    out[out < spec.underflow_floor] = 0.0
+    out[out < UNDERFLOW_FLOOR] = 0.0
     return float(out) if out.ndim == 0 else out
 
 

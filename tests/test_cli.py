@@ -1,12 +1,21 @@
 """Command-line surface: subcommands, exit codes, config file, formats."""
 
+import argparse
 import csv
 import json
 import math
 
 import pytest
 
-from henon_annulus.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, main, read_config
+from henon_annulus import cli
+from henon_annulus.cli import (
+    EXIT_INVALID,
+    EXIT_NONCONVERGED,
+    EXIT_OK,
+    build_parser,
+    main,
+    read_config,
+)
 
 
 def _run_json(argv, out_path):
@@ -16,6 +25,33 @@ def _run_json(argv, out_path):
 
 
 SMALL_AXI = ["--nr", "48", "--ntheta", "16"]
+
+
+def _command_dests() -> dict[str, set[str]]:
+    """Every subcommand's option and positional dests, as the parser has them."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {a.dest for a in cmd._actions if a.dest != "help"}
+        for name, cmd in sub.choices.items()
+    }
+
+
+def _unconverged_records(path):
+    rows = []
+    for alpha in (2.0, 4.0, 8.0):
+        rows.append(
+            {
+                "alpha": alpha,
+                "p": 4.0,
+                "dim": 3,
+                "seed": 0,
+                "levels": {"S_rad": {"value": 5.0 * alpha, "converged": alpha != 4.0}},
+                "concentration": None,
+                "timings": {},
+            }
+        )
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    return path
 
 
 class TestSolveCommands:
@@ -171,23 +207,7 @@ class TestSweepAndFit:
         assert 0.0 <= payload["r_squared"] <= 1.0
 
     def test_fit_refuses_unconverged_without_force(self, tmp_path):
-        records = tmp_path / "records.jsonl"
-        rows = []
-        for alpha in (2.0, 4.0, 8.0):
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "p": 4.0,
-                    "dim": 3,
-                    "seed": 0,
-                    "levels": {
-                        "S_rad": {"value": 5.0 * alpha, "converged": alpha != 4.0}
-                    },
-                    "concentration": None,
-                    "timings": {},
-                }
-            )
-        records.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        records = _unconverged_records(tmp_path / "records.jsonl")
         assert main(["fit", str(records)]) == EXIT_INVALID
         rc, payload = _run_json(["fit", str(records), "--force"], tmp_path / "f.json")
         assert rc == EXIT_OK
@@ -258,6 +278,36 @@ class TestConfigFile:
         rc = main(["solve-radial", "--config", str(cfg)])
         assert rc == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("solve-sigma", "ctl"), ("solve-radial", "segments"), ("solve-radial", "config")],
+    )
+    def test_key_naming_no_option_exits_invalid(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = 1\np = 4\n{key} = 1e-9\n")
+        rc = main([command, *SMALL_AXI[:2], "--config", str(cfg)])
+        assert rc == EXIT_INVALID
+        assert repr(key) in capsys.readouterr().err
+
+    def test_bad_choice_in_config_exits_invalid(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        argv = ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--config", str(cfg)]
+        assert main(argv) == EXIT_INVALID
+
+    def test_force_from_config(self, tmp_path):
+        records = _unconverged_records(tmp_path / "records.jsonl")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("force = true\n")
+        rc, payload = _run_json(["fit", str(records), "--config", str(cfg)], tmp_path / "f.json")
+        assert rc == EXIT_OK
+        assert payload["slope"] == pytest.approx(1.0, abs=1e-12)
+
+        cfg.write_text("force = false\n")
+        assert main(["fit", str(records), "--config", str(cfg)]) == EXIT_INVALID
+        cfg.write_text("force = maybe\n")
+        assert main(["fit", str(records), "--config", str(cfg)]) == EXIT_INVALID
+
 
 class TestExitCodes:
     def test_missing_required_params(self):
@@ -289,3 +339,114 @@ class TestExitCodes:
 
     def test_missing_records_file(self, tmp_path):
         assert main(["fit", str(tmp_path / "absent.jsonl")]) == EXIT_INVALID
+
+
+class TestOptionSurface:
+    EXPECTED_COUNTS = {
+        "solve-radial": 10,
+        "solve-ground": 11,
+        "solve-sigma": 12,
+        "solve-lambda": 12,
+        "mountain-pass": 15,
+        "sweep": 18,
+        "diagnose": 12,
+        "fit": 6,
+    }
+
+    def test_option_counts(self):
+        counts = {
+            name: len(dests - {"records"}) for name, dests in _command_dests().items()
+        }
+        assert counts == self.EXPECTED_COUNTS
+        assert sum(counts.values()) == 96
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--ntheta", "3"],
+            ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--ctol", "-1"],
+            ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--eps", "5"],
+            ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--delta", "9"],
+            ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--seed", "7"],
+            ["mountain-pass", "--alpha", "1", "--p", "4", *SMALL_AXI, "--ctol", "-1"],
+            ["mountain-pass", "--alpha", "1", "--p", "4", *SMALL_AXI, "--seed", "7"],
+            ["sweep", "--axis", "alpha", "--values", "2,4", "--p", "4", "--snapshot", "f.csv"],
+            ["fit", "records.jsonl", "--alpha", "1"],
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_invalid(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_INVALID
+
+
+class _Recording(argparse.Namespace):
+    """Namespace that notes each public attribute read once _reads is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None and not name.startswith("_"):
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestOptionContract:
+    """Each command reads every option its parser accepts, and no other.
+
+    Every command runs once through main on a small grid with all of its
+    options given; the namespace records what the program reads after
+    parsing. An option the program never reads would be accepted and
+    silently ignored; one it reads but the parser lacks would crash.
+    """
+
+    @staticmethod
+    def _values(tmp_path) -> dict:
+        config = tmp_path / "empty.cfg"
+        config.write_text("# every option comes from the command line\n")
+        return {
+            "out": str(tmp_path / "out"), "format": "json", "config": str(config),
+            "log_level": "warning", "alpha": "1", "p": "4", "dim": "3", "nr": "48",
+            "ntheta": "16", "tol": "1e-10", "snapshot": str(tmp_path / "snap.csv"),
+            "ctol": "1e-4", "eps": "1e-3", "delta": "0.25", "seed": "0",
+            "segments": "9", "maxit": "1", "trace": str(tmp_path / "trace.csv"),
+            "axis": "alpha", "values": "2,4", "levels": "S_rad", "n_radial": "100",
+            "level": "S_rad",
+            "records": str(_unconverged_records(tmp_path / "records.jsonl")),
+        }
+
+    @pytest.mark.parametrize("command", sorted(_command_dests()))
+    def test_reads_match_options(self, command, tmp_path, monkeypatch):
+        dests = _command_dests()[command]
+        values = self._values(tmp_path)
+        assert dests <= set(values) | {"force"}, "give the new option a test value"
+        argv = [command] + ([values["records"]] if "records" in dests else [])
+        for dest in sorted(dests - {"records"}):
+            flag = "--" + dest.replace("_", "-")
+            argv += [flag] if dest == "force" else [flag, values[dest]]
+
+        seen = []
+        real_build = cli.build_parser
+
+        def recording_parser():
+            parser = real_build()
+            parse = parser.parse_args
+
+            def parse_recording(args=None):
+                namespace = parse(args, namespace=_Recording())
+                namespace._reads = set()
+                seen.append(namespace)
+                return namespace
+
+            parser.parse_args = parse_recording
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        try:
+            rc = main(argv)
+        except AttributeError as exc:
+            pytest.fail(f"{command} reads an option its parser lacks: {exc}")
+        assert rc in (EXIT_OK, EXIT_NONCONVERGED)
+        (namespace,) = seen
+        read = namespace._reads - {"command", "handler"}
+        assert sorted(dests - read) == [], "accepted but never read"
+        assert sorted(read - dests) == [], "read but not accepted"

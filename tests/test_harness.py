@@ -23,6 +23,7 @@ from henon_annulus import (
     write_snapshot,
 )
 from henon_annulus.harness import LEVEL_CHOICES, append_records
+from henon_annulus.mountain_pass import PASS_TOL
 
 
 def _record(alpha, levels):
@@ -178,6 +179,17 @@ class TestRunSweep:
         assert record.levels["S"]["converged"]
         assert record.concentration is not None
         assert {"lambda", "xi", "barycenter"} <= set(record.concentration)
+
+    def test_beta_records_the_pass_tolerance(self):
+        # the pass runs at mountain_pass's own tolerance, not the descent's
+        spec = SweepSpec(
+            axis="alpha", values=(1.0,), fixed=5.5, levels=("beta",), nr=48, ntheta=16
+        )
+        (record,) = run_sweep(spec)
+        entry = record.levels["beta"]
+        assert entry["converged"]
+        assert entry["tol"] == PASS_TOL == 1e-5
+        assert spec.tol != PASS_TOL
 
 
 class TestFitExponent:

@@ -28,6 +28,9 @@ from henon_annulus import (
 # same-grid regression pin (96 x 32 graded-polar, one-sided minimizer
 # endpoints, 12 segments); detects solver drift, not truth
 PINNED_BETA_ALPHA1_P4 = 17.533242963748826
+# same-grid pin of the benchmark's mountain-pass inputs (96 x 32, alpha = 1,
+# p = 5.5, eps = 1e-3 bubble endpoints, 12 segments, tol = 1e-5)
+PINNED_BETA_ALPHA1_P55 = 13.525271158319786
 
 
 def _endpoints(axi_grid, params):
@@ -159,6 +162,18 @@ class TestMountainPass:
         seq = [per_iter[k] for k in sorted(per_iter)]
         assert all(b <= a * (1.0 + 1e-10) for a, b in zip(seq, seq[1:]))
 
+    def test_benchmark_inputs_pinned(self, axi_grid):
+        # the argmax node reaches the near-critical band, takes one Newton
+        # polish there, and the pass converges without any periodic polish
+        ua = instanton(InstantonParams(1e-3, 0), axi_grid)
+        ub = instanton(InstantonParams(1e-3, 1), axi_grid)
+        path = straight_path(ua, ub, 12, 1.0, 5.5)
+        result = mountain_pass(path, ProblemParams(1.0, 5.5), tol=1e-5)
+        assert result.converged
+        assert result.beta == pytest.approx(PINNED_BETA_ALPHA1_P55, rel=1e-12)
+        assert result.iterations == 11
+        assert result.stats.polishes_tried == result.stats.polishes_accepted == 1
+
     def test_degenerate_endpoints_stall_honestly(self, axi_grid, params_alpha1_p4):
         # raw bubbles at eps = 1e-2 sit far above the one-sided minima;
         # the maximum retreats to the higher endpoint and the run reports
@@ -176,10 +191,3 @@ class TestMountainPass:
         path = straight_path(ua, ub, 12, 1.0, 4.0)
         with pytest.raises(ConfigurationError):
             mountain_pass(path, ProblemParams(alpha=2.0, p=4.0))
-
-    def test_bad_step(self, axi_grid, params_alpha1_p4):
-        ua = instanton(InstantonParams(1e-3, 0), axi_grid)
-        ub = instanton(InstantonParams(1e-3, 1), axi_grid)
-        path = straight_path(ua, ub, 12, 1.0, 4.0)
-        with pytest.raises(ConfigurationError):
-            mountain_pass(path, params_alpha1_p4, step=0.0)

@@ -143,8 +143,6 @@ class TestBumps:
             radial_bump(1.5, radial_grid)
         with pytest.raises(ConfigurationError):
             radial_bump(10.0, axi_grid)
-        with pytest.raises(ConfigurationError):
-            radial_bump(10.0, radial_grid, profile="boxcar")
 
     def test_boundary_bump_support(self, axi_grid):
         alpha = 10.0

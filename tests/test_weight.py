@@ -84,8 +84,6 @@ class TestWeightEval:
             WeightSpec(-1.0)
         with pytest.raises(ConfigurationError):
             WeightSpec(1000.5)
-        with pytest.raises(ConfigurationError):
-            WeightSpec(2.0, underflow_floor=1.0)
 
 
 class TestRules:
