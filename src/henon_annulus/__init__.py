@@ -83,7 +83,7 @@ from .profiles import (
     instanton,
     phi_cutoff_decompose,
 )
-from .weight import WeightSpec, weight_eval
+from .weight import weight_eval
 
 __version__ = "0.1.0"
 
@@ -135,7 +135,6 @@ __all__ = [
     "solve_radial",
     "solve_sigma",
     "straight_path",
-    "WeightSpec",
     "weight_eval",
     "write_levels_csv",
     "write_snapshot",

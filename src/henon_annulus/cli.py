@@ -12,7 +12,8 @@ left unset is not passed on: its default is the one of the function that
 reads it.
 
 --log-level sends the package's log records at that level and above to
-stderr (DEBUG shows each Newton teleport of the descent).
+stderr (DEBUG shows each Newton teleport of the descent and each sweep of
+the mountain pass, with every path node's quotient).
 
 A plain-text configuration file (``key = value`` per line, ``#`` comments)
 given with --config may set any long option of the same command (``force =
@@ -57,7 +58,8 @@ _OPTIONS = {
     "format": {"choices": ("json", "csv"), "help": "output format (default json)"},
     "config": {"help": "key = value file setting this command's options; the command line wins"},
     "log_level": {"type": str.upper, "choices": LOG_LEVELS,
-                  "help": "log to stderr from this level (default WARNING)"},
+                  "help": "log to stderr from this level (default WARNING; DEBUG shows "
+                          "the descent's teleports and the pass's sweeps)"},
     "alpha": {"type": float, "help": "weight exponent alpha >= 0"},
     "p": {"type": float, "help": "nonlinearity exponent, 2 < p < 2N/(N-2)"},
     "dim": {"type": int, "help": "ambient dimension N (default 3)"},
@@ -71,7 +73,6 @@ _OPTIONS = {
     "seed": {"type": int, "help": "seed recorded with sweep results"},
     "segments": {"type": int, "help": f"path segments (default {hn.PATH_SEGMENTS})"},
     "maxit": {"type": int, "help": "sweep budget"},
-    "trace": {"help": "CSV trace of (iteration, node, quotient)"},
     "axis": {"choices": ("alpha", "p"), "help": "parameter that varies"},
     "values": {"help": "comma-separated ascending values"},
     "levels": {"help": "comma-separated subset of S_rad,S,T,beta"},
@@ -81,8 +82,10 @@ _OPTIONS = {
 }
 
 _IO = ("out", "format", "config", "log_level")
-_RADIAL_POINT = ("alpha", "p", "dim", "nr", "tol", "snapshot")
-_AXI_POINT = _RADIAL_POINT + ("ntheta",)
+# Only the radial level is posed for general N; the axisymmetric grid is 3-D.
+_POINT = ("alpha", "p", "nr", "tol", "snapshot")
+_RADIAL_POINT = _POINT + ("dim",)
+_AXI_POINT = _POINT + ("ntheta",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,13 +152,13 @@ def _solve_row(result: mz.SolveResult) -> tuple:
             result.report.quotient, result.converged, result.report.grid)
 
 
-def _point_params(args: argparse.Namespace) -> ProblemParams:
+def _point_params(args: argparse.Namespace, *extras: str) -> ProblemParams:
     if args.alpha is None or args.p is None:
         raise ValueError("--alpha and --p are required for this command")
     # p = 2 has no variational content (linear eigenvalue); permitted on the
     # command line purely as the closed-form validation case.
     return ProblemParams(
-        args.alpha, args.p, **_given(args, "dim"), validation_mode=(args.p == 2.0)
+        args.alpha, args.p, **_given(args, *extras), validation_mode=(args.p == 2.0)
     )
 
 
@@ -176,10 +179,11 @@ def _solve(help: str, axi: bool, solver: Callable, *extras: str) -> _Command:
     """One solve command: its grid, its solver and the solver's own options."""
 
     def handler(args: argparse.Namespace) -> int:
-        params = _point_params(args)
         if axi:
+            params = _point_params(args)
             grid = _axi_grid(args)
         else:
+            params = _point_params(args, "dim")
             grid = build_radial_grid(
                 _or(args.nr, hn.DEFAULT_RADIAL_CELLS), "graded", dim=params.dim
             )
@@ -203,9 +207,7 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> int:
     u1 = instanton(InstantonParams(eps, 1), grid)
     path = straight_path(u0, u1, segments, params.alpha, params.p)
     crossing = path_crossing(path)
-    result = mountain_pass(
-        path, params, **_given(args, "tol", "maxit"), trace_csv=args.trace
-    )
+    result = mountain_pass(path, params, **_given(args, "tol", "maxit"))
     elapsed = time.perf_counter() - started
 
     payload = {
@@ -309,7 +311,7 @@ _COMMANDS = {
     "solve-lambda": _solve("inner-heavy local minimizer", True, mz.solve_lambda, "eps"),
     "mountain-pass": _Command(
         "path level beta between the two instantons", _cmd_mountain_pass,
-        _IO + _AXI_POINT + ("eps", "segments", "maxit", "trace"),
+        _IO + _AXI_POINT + ("eps", "segments", "maxit"),
     ),
     "sweep": _Command(
         "solve a family of parameter points", _cmd_sweep,

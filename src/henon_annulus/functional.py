@@ -93,7 +93,7 @@ from .geometry import (
     RadialGrid,
     surface_measure,
 )
-from .weight import WeightSpec, radial_rule, theta_rule, weight_eval
+from .weight import radial_rule, theta_rule, weight_eval
 
 LEVEL_TAGS = ("raw", "S_rad", "S", "T", "beta")
 
@@ -316,7 +316,7 @@ class _Assembly:
         def build():
             r = self.r_nodes
             pts, wts = radial_rule(r[:-1], r[1:], alpha)
-            weight = wts * weight_eval(pts, WeightSpec(alpha)) * self.measure(pts)
+            weight = wts * weight_eval(pts, alpha) * self.measure(pts)
             keep = weight != 0.0
             pts, weight = pts[keep], weight[keep]
             light = weight < TAIL_WEIGHT * np.max(weight, initial=0.0)

@@ -87,8 +87,14 @@ class SweepSpec:
         for name in self.levels:
             if name not in LEVEL_CHOICES:
                 raise ConfigurationError(f"unknown level {name!r}")
-        # refused before any solve, by the checks T, beta and the
-        # concentration report would apply at every point
+        # refused before any solve: every point's parameters, and the
+        # checks T, beta and the concentration report would apply there
+        for value in values:
+            self.point_params(value)
+        if self.dim != 3 and set(self.levels) - {"S_rad"}:
+            raise ConfigurationError(
+                f"levels S, T and beta are posed on the 3-D annulus, not dim {self.dim}"
+            )
         mz.check_ctol(self.ctol)
         InstantonParams(self.eps, 0)
         CutoffSpec(self.delta)
@@ -112,15 +118,7 @@ class ResultRecord:
     timings: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "p": self.p,
-            "dim": self.dim,
-            "seed": self.seed,
-            "levels": self.levels,
-            "concentration": self.concentration,
-            "timings": self.timings,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ResultRecord":
@@ -269,12 +267,26 @@ def append_records(records: list[ResultRecord], path: str) -> None:
 
 
 def load_records(path: str) -> list[ResultRecord]:
+    """The records of a JSON-lines file; a malformed line names path:line."""
     records = []
     with open(path, encoding="utf-8") as source:
-        for line in source:
-            line = line.strip()
-            if line:
-                records.append(ResultRecord.from_json_dict(json.loads(line)))
+        for lineno, line in enumerate(source, start=1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise TypeError("not a JSON object")
+                record = ResultRecord.from_json_dict(data)
+                levels = record.levels
+                if not (isinstance(levels, dict)
+                        and all(isinstance(entry, dict) for entry in levels.values())):
+                    raise TypeError("levels must map each level tag to an object")
+                records.append(record)
+            except KeyError as exc:
+                raise ConfigurationError(f"{path}:{lineno}: record lacks {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
@@ -283,14 +295,15 @@ def fit_exponent(
 ) -> tuple[float, float]:
     """Slope and r-squared of log(level) against log(alpha).
 
+    Needs records at three or more distinct alpha (a p sweep has one).
     Refuses sweeps containing non-converged or failed entries for the
     chosen level unless force=True; a fit over unreliable points would
     silently corrupt the scaling-exponent claims downstream.
     """
     if level not in LEVEL_CHOICES:
         raise ConfigurationError(f"unknown level {level!r}")
-    if len(records) < 3:
-        raise ConfigurationError("exponent fit needs at least 3 records")
+    if len({record.alpha for record in records}) < 3:
+        raise ConfigurationError("exponent fit needs records at 3 or more distinct alpha")
     xs, ys = [], []
     for record in records:
         entry = record.levels.get(level)

@@ -488,6 +488,22 @@ def _descend(
         return float(np.linalg.norm(g - (float(b @ g) / bb) * b))
 
     stats = SolveStats()
+
+    def line_search(trial_at, tries):
+        """The first trial_at(t) below merit, t = 1, 1/2, ..., or None."""
+        t = 1.0
+        for _ in range(tries):
+            stats.backtracks += t < 1.0
+            trial = trial_at(t)
+            if trial is not None:
+                tm, tep, tem = _merit_energy(trial)
+                if tm < merit:
+                    return trial, tm, tep, tem
+                if t == 1.0 and _at_floor(tm, merit):
+                    return None  # shorter steps would only decide roundoff
+            t *= 0.5
+        return None
+
     last_polish = -POLISH_EVERY
     polish_gap = POLISH_EVERY
     while iterations < MAX_ITERATIONS:
@@ -529,22 +545,13 @@ def _descend(
             sol[free] = solve(force(u)[free])
             cand = _clamped_normalized(grid, sol, alpha, p)
             if cand is not None:
-                t = 1.0
-                for _ in range(9):
-                    if t == 1.0 and not project:
-                        trial = cand  # already clamped and normalized
-                    else:
-                        stats.backtracks += t < 1.0
-                        trial = feasible((1.0 - t) * u.values + t * cand.values)
-                    if trial is not None:
-                        tm, tep, tem = _merit_energy(trial)
-                        if tm < merit:
-                            accepted = (trial, tm, tep, tem)
-                            stats.inverse_power_steps += 1
-                            break
-                        if t == 1.0 and _at_floor(tm, merit):
-                            break  # shorter steps would only decide roundoff
-                    t *= 0.5
+                # the full step is cand itself, already clamped and normalized
+                accepted = line_search(
+                    lambda t: cand if t == 1.0 and not project
+                    else feasible((1.0 - t) * u.values + t * cand.values),
+                    9,
+                )
+                stats.inverse_power_steps += accepted is not None
         if accepted is None:
             d = np.zeros(grid.n_nodes)
             d[free] = solve(-g[free])
@@ -557,19 +564,8 @@ def _descend(
                 denom = float(b[free] @ q[free])
                 if denom != 0.0:
                     d -= (float(b[free] @ d[free]) / denom) * q
-            s = 1.0
-            for _ in range(12):
-                stats.backtracks += s < 1.0
-                trial = feasible(u.values + s * d)
-                if trial is not None:
-                    tm, tep, tem = _merit_energy(trial)
-                    if tm < merit:
-                        accepted = (trial, tm, tep, tem)
-                        stats.gradient_steps += 1
-                        break
-                    if s == 1.0 and _at_floor(tm, merit):
-                        break
-                s *= 0.5
+            accepted = line_search(lambda s: feasible(u.values + s * d), 12)
+            stats.gradient_steps += accepted is not None
         if accepted is None:
             break
         trial, tm, tep, tem = accepted

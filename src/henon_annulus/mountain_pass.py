@@ -32,6 +32,7 @@ the balanced level.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,8 @@ from .errors import (
 )
 from .geometry import DiscreteField, ProblemParams
 from .minimize import SolveStats, newton
+
+log = logging.getLogger(__name__)
 
 MIN_SEGMENTS = 9
 REDISTRIBUTE_EVERY = 20
@@ -206,13 +209,14 @@ def mountain_pass(
     params: ProblemParams,
     tol: float = PASS_TOL,
     maxit: int = 2000,
-    trace_csv: str | None = None,
 ) -> MpassResult:
     """Deform the interior path nodes downhill until the pass is critical.
 
     Stops when the argmax node's scaled residual (the same quantity
     residual_pde reports for the rescaled field) is at most tol; exceeding
-    maxit returns the best path so far with converged False.
+    maxit returns the best path so far with converged False. Each sweep
+    is logged at DEBUG: its number, the argmax node and every node's
+    quotient.
     """
     if (params.alpha, params.p) != (path.alpha, path.p):
         raise ConfigurationError("path was built for different (alpha, p)")
@@ -235,9 +239,6 @@ def mountain_pass(
     running_max = float(quotients.max())
     converged = False
     iterations = 0
-    trace = open(trace_csv, "w", encoding="utf-8") if trace_csv else None
-    if trace is not None:
-        trace.write("iteration,node,quotient\n")
 
     # The argmax node's gradient is needed by the stopping test, by its own
     # descent step and, for an accepted climbing step, was already computed
@@ -256,150 +257,146 @@ def mountain_pass(
         return float(np.linalg.norm(g)) / (2.0 * math.sqrt(quotients[k]))
 
     stats, newton_stats = MpassStats(), SolveStats()
-    try:
-        polish_memo: tuple = (None, None)
-        while iterations < maxit:
-            top_residual = argmax_residual()
-            if top_residual <= tol:
-                converged = True
-                break
-            iterations += 1
-            top = int(np.argmax(quotients))
-            for k in range(1, m):
-                g = gradient(nodes[k]) if k == top else (
-                    fn.functional_gradient(nodes[k], alpha, p).values
-                )
-                d = np.zeros(grid.n_nodes)
-                d[free] = solve(-g[free])
-                gref = math.sqrt(max(-float(g @ d), 0.0))
-                # Tangential treatment along the central-difference chord,
-                # both projections in the A inner product. Ordinary nodes
-                # drop the along-path component (keeping it makes the whole
-                # chain flow into the basins and hide the barrier inside
-                # one segment; Cauchy-Schwarz keeps g.d <= 0). The argmax
-                # node instead reverses it, the climbing variant: plain
-                # descent slides off the saddle whenever the chord
-                # misaligns with the unstable direction, while the reversed
-                # component is attracted to it.
-                tau = nodes[k + 1].values - nodes[k - 1].values
-                a_tau = matrix @ tau
-                tau_sq = float(tau @ a_tau)
-                if tau_sq > 0.0:
-                    coef = float(d @ a_tau) / tau_sq
-                    d -= (2.0 * coef if k == top else coef) * tau
-                dnorm = _energy_norm(matrix, d)
-                # Trust region: at most half the local node spacing per
-                # sweep, so nodes cannot outrun the polygon and tear the
-                # path across the barrier between redistributions.
-                cap = 0.5 * min(
-                    _energy_length(matrix, nodes[k - 1], nodes[k]),
-                    _energy_length(matrix, nodes[k], nodes[k + 1]),
-                )
-                if dnorm == 0.0 or cap == 0.0:
-                    continue
-                s = min(1.0, cap / dnorm)
-                for _ in range(BACKTRACK_MAX):
-                    trial_vals = nodes[k].values + s * d
-                    trial = nodes[k].with_values(trial_vals)
-                    if not trial.is_zero:
-                        try:
-                            cand, energy = _normalized_quotient(trial, alpha, p)
-                        except DegenerateFieldError:
-                            cand = None
-                        if cand is None:
-                            s *= 0.5
-                            continue
-                        if k != top:
-                            ok = energy < quotients[k]
-                        else:
-                            # The climbing node steps only toward
-                            # criticality (its preconditioned gradient norm
-                            # is the Lyapunov function), never above the
-                            # running max. Accepting plain level decreases
-                            # here lets it slide below the saddle, after
-                            # which the monotone ceiling forbids climbing
-                            # back and the iteration deadlocks short of
-                            # criticality.
-                            gnew = gradient(cand)
-                            dnew = solve(-gnew[free])
-                            gcand = math.sqrt(max(-float(gnew[free] @ dnew), 0.0))
-                            floor = max(quotients[k - 1], quotients[k + 1])
-                            ok = (
-                                gcand < gref
-                                and energy <= running_max
-                                + 1e-10 * max(1.0, running_max)
-                                and energy >= floor - 1e-12 * max(1.0, floor)
-                            )
-                        if ok:
-                            nodes[k] = cand
-                            quotients[k] = energy
-                            break
-                    s *= 0.5
-            # A saddle starves plain descent, so the argmax node gets the
-            # same Newton teleport the solvers use on every sweep once it is
-            # near-critical, so Newton can close in from above before the
-            # creeping dynamics overshoots the pass level. Accepted only
-            # under the running max, above the flanking nodes, and within
-            # the local node spacing, else the polygon would tear and the
-            # discrete maximum could dodge the pass.
-            if p > 2.0 and top_residual <= 1e-2:
-                k = int(np.argmax(quotients))
-                if 0 < k < m:
-                    # Newton depends on the node alone, and a stalled
-                    # argmax node is offered the teleport on every sweep:
-                    # reuse the last outcome while the node is unchanged.
-                    if polish_memo[0] is not nodes[k]:
-                        stats.polishes_tried += 1
-                        got = newton(grid, nodes[k], float(quotients[k]), alpha, p,
-                                     stats=newton_stats)
-                        polish_memo = (nodes[k], None if got is None else got[0])
-                    polished = polish_memo[1]
-                    if polished is not None:
-                        energy = fn.dirichlet_energy(polished)
-                        moved = polished.values - nodes[k].values
-                        spacing = max(
-                            _energy_length(matrix, nodes[k - 1], nodes[k]),
-                            _energy_length(matrix, nodes[k], nodes[k + 1]),
-                        )
-                        # The pass level cannot lie below the flanking
-                        # nodes; a polished field that does has fallen
-                        # into a basin, not onto the saddle.
+    polish_memo: tuple = (None, None)
+    while iterations < maxit:
+        top_residual = argmax_residual()
+        if top_residual <= tol:
+            converged = True
+            break
+        iterations += 1
+        top = int(np.argmax(quotients))
+        for k in range(1, m):
+            g = gradient(nodes[k]) if k == top else (
+                fn.functional_gradient(nodes[k], alpha, p).values
+            )
+            d = np.zeros(grid.n_nodes)
+            d[free] = solve(-g[free])
+            gref = math.sqrt(max(-float(g @ d), 0.0))
+            # Tangential treatment along the central-difference chord,
+            # both projections in the A inner product. Ordinary nodes
+            # drop the along-path component (keeping it makes the whole
+            # chain flow into the basins and hide the barrier inside
+            # one segment; Cauchy-Schwarz keeps g.d <= 0). The argmax
+            # node instead reverses it, the climbing variant: plain
+            # descent slides off the saddle whenever the chord
+            # misaligns with the unstable direction, while the reversed
+            # component is attracted to it.
+            tau = nodes[k + 1].values - nodes[k - 1].values
+            a_tau = matrix @ tau
+            tau_sq = float(tau @ a_tau)
+            if tau_sq > 0.0:
+                coef = float(d @ a_tau) / tau_sq
+                d -= (2.0 * coef if k == top else coef) * tau
+            dnorm = _energy_norm(matrix, d)
+            # Trust region: at most half the local node spacing per
+            # sweep, so nodes cannot outrun the polygon and tear the
+            # path across the barrier between redistributions.
+            cap = 0.5 * min(
+                _energy_length(matrix, nodes[k - 1], nodes[k]),
+                _energy_length(matrix, nodes[k], nodes[k + 1]),
+            )
+            if dnorm == 0.0 or cap == 0.0:
+                continue
+            s = min(1.0, cap / dnorm)
+            for _ in range(BACKTRACK_MAX):
+                trial_vals = nodes[k].values + s * d
+                trial = nodes[k].with_values(trial_vals)
+                if not trial.is_zero:
+                    try:
+                        cand, energy = _normalized_quotient(trial, alpha, p)
+                    except DegenerateFieldError:
+                        cand = None
+                    if cand is None:
+                        s *= 0.5
+                        continue
+                    if k != top:
+                        ok = energy < quotients[k]
+                    else:
+                        # The climbing node steps only toward
+                        # criticality (its preconditioned gradient norm
+                        # is the Lyapunov function), never above the
+                        # running max. Accepting plain level decreases
+                        # here lets it slide below the saddle, after
+                        # which the monotone ceiling forbids climbing
+                        # back and the iteration deadlocks short of
+                        # criticality.
+                        gnew = gradient(cand)
+                        dnew = solve(-gnew[free])
+                        gcand = math.sqrt(max(-float(gnew[free] @ dnew), 0.0))
                         floor = max(quotients[k - 1], quotients[k + 1])
-                        if (
-                            floor - 1e-6 * max(1.0, floor) <= energy
-                            and energy <= running_max + 1e-10 * max(1.0, running_max)
-                            and _energy_norm(matrix, moved) <= spacing
-                        ):
-                            nodes[k] = polished
-                            quotients[k] = energy
-                            stats.polishes_accepted += 1
-            if iterations % REDISTRIBUTE_EVERY == 0:
-                pin = int(np.argmax(quotients))
-                if 0 < pin < m:
-                    candidate = _redistribute(
-                        PathState(nodes, quotients, alpha, p), matrix, pin
+                        ok = (
+                            gcand < gref
+                            and energy <= running_max
+                            + 1e-10 * max(1.0, running_max)
+                            and energy >= floor - 1e-12 * max(1.0, floor)
+                        )
+                    if ok:
+                        nodes[k] = cand
+                        quotients[k] = energy
+                        break
+                s *= 0.5
+        # A saddle starves plain descent, so the argmax node gets the
+        # same Newton teleport the solvers use on every sweep once it is
+        # near-critical, so Newton can close in from above before the
+        # creeping dynamics overshoots the pass level. Accepted only
+        # under the running max, above the flanking nodes, and within
+        # the local node spacing, else the polygon would tear and the
+        # discrete maximum could dodge the pass.
+        if p > 2.0 and top_residual <= 1e-2:
+            k = int(np.argmax(quotients))
+            if 0 < k < m:
+                # Newton depends on the node alone, and a stalled
+                # argmax node is offered the teleport on every sweep:
+                # reuse the last outcome while the node is unchanged.
+                if polish_memo[0] is not nodes[k]:
+                    stats.polishes_tried += 1
+                    got = newton(grid, nodes[k], float(quotients[k]), alpha, p,
+                                 stats=newton_stats)
+                    polish_memo = (nodes[k], None if got is None else got[0])
+                polished = polish_memo[1]
+                if polished is not None:
+                    energy = fn.dirichlet_energy(polished)
+                    moved = polished.values - nodes[k].values
+                    spacing = max(
+                        _energy_length(matrix, nodes[k - 1], nodes[k]),
+                        _energy_length(matrix, nodes[k], nodes[k + 1]),
                     )
-                    if candidate is not None and (
-                        candidate.max_quotient
-                        <= running_max + 1e-10 * max(1.0, running_max)
+                    # The pass level cannot lie below the flanking
+                    # nodes; a polished field that does has fallen
+                    # into a basin, not onto the saddle.
+                    floor = max(quotients[k - 1], quotients[k + 1])
+                    if (
+                        floor - 1e-6 * max(1.0, floor) <= energy
+                        and energy <= running_max + 1e-10 * max(1.0, running_max)
+                        and _energy_norm(matrix, moved) <= spacing
                     ):
-                        nodes = candidate.nodes
-                        quotients = candidate.quotients
-            current_max = float(quotients.max())
-            if current_max > running_max + 1e-10 * max(1.0, running_max):
-                raise ContractViolationError("path maximum increased")
-            running_max = min(running_max, current_max)
-            if trace is not None:
-                for k, q in enumerate(quotients):
-                    trace.write(f"{iterations},{k},{q:.17g}\n")
-            # Once the maximum sits at a fixed endpoint it stays there:
-            # interior levels only decrease, so beta is already final and
-            # the remaining sweeps cannot change the outcome.
-            if int(np.argmax(quotients)) in (0, m):
-                break
-    finally:
-        if trace is not None:
-            trace.close()
+                        nodes[k] = polished
+                        quotients[k] = energy
+                        stats.polishes_accepted += 1
+        if iterations % REDISTRIBUTE_EVERY == 0:
+            pin = int(np.argmax(quotients))
+            if 0 < pin < m:
+                candidate = _redistribute(
+                    PathState(nodes, quotients, alpha, p), matrix, pin
+                )
+                if candidate is not None and (
+                    candidate.max_quotient
+                    <= running_max + 1e-10 * max(1.0, running_max)
+                ):
+                    nodes = candidate.nodes
+                    quotients = candidate.quotients
+        current_max = float(quotients.max())
+        if current_max > running_max + 1e-10 * max(1.0, running_max):
+            raise ContractViolationError("path maximum increased")
+        running_max = min(running_max, current_max)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("sweep %d: argmax node %d, quotients %s", iterations,
+                      int(np.argmax(quotients)), " ".join(f"{q:.17g}" for q in quotients))
+        # Once the maximum sits at a fixed endpoint it stays there:
+        # interior levels only decrease, so beta is already final and
+        # the remaining sweeps cannot change the outcome.
+        if int(np.argmax(quotients)) in (0, m):
+            break
 
     if not (
         np.array_equal(nodes[0].values, endpoint_values[0])

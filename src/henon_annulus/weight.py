@@ -27,7 +27,6 @@ subnormals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -54,35 +53,25 @@ UNDERFLOW_FLOOR = 1e-300
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Exponent alpha of the weight |r - 2|^alpha."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha <= ALPHA_CAP):
-            raise ConfigurationError(
-                f"alpha must lie in [0, {ALPHA_CAP:g}], got {self.alpha!r}"
-            )
-
-
-def weight_eval(r, spec: WeightSpec):
+def weight_eval(r, alpha: float):
     """| r - 2 |^alpha on [1, 3], flushed to 0 below the underflow floor.
 
-    Raises DomainError off the annulus. alpha = 0 gives identically 1,
-    including at r = 2.
+    Raises ConfigurationError for alpha outside [0, ALPHA_CAP] and
+    DomainError off the annulus. alpha = 0 gives identically 1, including
+    at r = 2.
     """
+    if not (0.0 <= alpha <= ALPHA_CAP):
+        raise ConfigurationError(f"alpha must lie in [0, {ALPHA_CAP:g}], got {alpha!r}")
     arr = np.asarray(r, dtype=float)
     if np.any(arr < INNER_RADIUS - 1e-12) or np.any(arr > OUTER_RADIUS + 1e-12):
         raise DomainError("weight is defined on the annulus radii [1, 3] only")
-    if spec.alpha == 0.0:
+    if alpha == 0.0:
         out = np.ones_like(arr)
         return float(out) if out.ndim == 0 else out
     d = np.abs(arr - MID_RADIUS)
     out = np.zeros_like(d)
     pos = d > 0.0
-    out[pos] = np.exp(spec.alpha * np.log(d[pos]))
+    out[pos] = np.exp(alpha * np.log(d[pos]))
     out[out < UNDERFLOW_FLOOR] = 0.0
     return float(out) if out.ndim == 0 else out
 

@@ -11,12 +11,12 @@ import numpy as np
 
 from henon_annulus import ConfigurationError
 from henon_annulus.geometry import surface_measure
-from henon_annulus.weight import WeightSpec, radial_rule, theta_rule, weight_eval
+from henon_annulus.weight import radial_rule, theta_rule, weight_eval
 
 
 def cell_weighted_integral(
     cell,
-    spec: WeightSpec,
+    alpha: float,
     f,
     *,
     dim: int = 3,
@@ -34,8 +34,8 @@ def cell_weighted_integral(
         raise ConfigurationError(f"unknown measure {measure!r}")
     if np.isscalar(cell[0]):
         a, b = float(cell[0]), float(cell[1])
-        pts, wts = radial_rule(a, b, spec.alpha, refine)
-        w = weight_eval(pts, spec)
+        pts, wts = radial_rule(a, b, alpha, refine)
+        w = weight_eval(pts, alpha)
         vals = np.asarray(f(pts), dtype=float)
         if measure == "sphere":
             jac = surface_measure(dim) * pts ** (dim - 1)
@@ -47,9 +47,9 @@ def cell_weighted_integral(
         raise ConfigurationError("2-D cells are defined for the N = 3 reduction only")
     if measure != "sphere":
         raise ConfigurationError("2-D cells carry the sphere measure only")
-    rp, rw = radial_rule(float(a), float(b), spec.alpha, refine)
+    rp, rw = radial_rule(float(a), float(b), alpha, refine)
     tp, tw = theta_rule(float(t0), float(t1), refine)
-    w = weight_eval(rp, spec)
+    w = weight_eval(rp, alpha)
     vals = np.asarray(f(rp[:, None], tp[None, :]), dtype=float)
     row = rw * w * rp**2
     col = tw * np.sin(tp)

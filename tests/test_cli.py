@@ -3,11 +3,12 @@
 import argparse
 import csv
 import json
+import logging
 import math
 
 import pytest
 
-from henon_annulus import cli
+from henon_annulus import ConfigurationError, cli, minimize
 from henon_annulus.cli import (
     EXIT_INVALID,
     EXIT_NONCONVERGED,
@@ -34,6 +35,16 @@ def _command_dests() -> dict[str, set[str]]:
         name: {a.dest for a in cmd._actions if a.dest != "help"}
         for name, cmd in sub.choices.items()
     }
+
+
+def _pass_sweeps(caplog):
+    """(sweep, argmax node, quotients) of each mountain-pass DEBUG record."""
+    sweeps = []
+    for record in caplog.records:
+        if record.name == "henon_annulus.mountain_pass" and record.levelno == logging.DEBUG:
+            number, argmax, text = record.args
+            sweeps.append((number, argmax, [float(q) for q in text.split()]))
+    return sweeps
 
 
 def _unconverged_records(path):
@@ -147,12 +158,11 @@ class TestSolveCommands:
 
 
 class TestMountainPass:
-    def test_budgeted_run_reports_nonconvergence(self, tmp_path):
-        trace = tmp_path / "trace.csv"
+    def test_budgeted_run_reports_nonconvergence(self, tmp_path, caplog):
         rc, payload = _run_json(
             [
                 "mountain-pass", "--alpha", "1", "--p", "4", *SMALL_AXI,
-                "--segments", "9", "--maxit", "3", "--trace", str(trace),
+                "--segments", "9", "--maxit", "3", "--log-level", "debug",
             ],
             tmp_path / "out.json",
         )
@@ -162,7 +172,13 @@ class TestMountainPass:
         assert payload["beta"] <= payload["straight_max"] * (1 + 1e-12)
         assert 1 <= payload["crossing_index"] <= payload["segments"]
         assert 0.0 <= payload["asymmetry_index"] <= 1.0
-        assert trace.read_text().splitlines()[0] == "iteration,node,quotient"
+        sweeps = _pass_sweeps(caplog)
+        assert [number for number, _, _ in sweeps] == [1, 2, 3]
+        # the per-sweep path maximum never increases, and ends at beta
+        maxima = [max(quotients) for _, _, quotients in sweeps]
+        assert all(b <= a * (1.0 + 1e-10) for a, b in zip(maxima, maxima[1:]))
+        assert maxima[-1] == payload["beta"]
+        assert all(len(quotients) == 10 for _, _, quotients in sweeps)
         stats = payload["stats"]
         assert set(stats) == {
             "polishes_tried", "polishes_accepted", "linear_solves",
@@ -340,16 +356,55 @@ class TestExitCodes:
     def test_missing_records_file(self, tmp_path):
         assert main(["fit", str(tmp_path / "absent.jsonl")]) == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            json.dumps({"alpha": 2.0, "p": 4.0, "dim": 3, "levels": {}}),
+            "[1, 2]",
+            json.dumps({"alpha": 2.0, "p": 4.0, "dim": 3, "seed": 0, "levels": {"S_rad": []}}),
+        ],
+        ids=["no-seed", "not-an-object", "level-not-an-object"],
+    )
+    def test_malformed_records_exit_invalid(self, tmp_path, capsys, line):
+        records = _unconverged_records(tmp_path / "records.jsonl")
+        records.write_text(records.read_text() + line + "\n")
+        assert main(["fit", str(records), "--force"]) == EXIT_INVALID
+        (message,) = capsys.readouterr().err.splitlines()
+        assert message.startswith("error: ") and f"{records}:4" in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--axis", "p", "--values", "4,7", "--alpha", "1", "--levels", "S_rad"],
+            ["--axis", "alpha", "--values", "1,2", "--p", "3", "--dim", "4", "--levels", "S",
+             *SMALL_AXI],
+        ],
+        ids=["supercritical-point", "axisymmetric-dim-4"],
+    )
+    def test_bad_sweep_refused_before_any_solve(self, tmp_path, monkeypatch, argv):
+        solved = []
+
+        def solver(params, grid, **kwargs):
+            solved.append(params)
+            raise ConfigurationError("no point should be solved")
+
+        monkeypatch.setattr(minimize, "solve_radial", solver)
+        monkeypatch.setattr(minimize, "solve_ground", solver)
+        out = tmp_path / "f.jsonl"
+        assert main(["sweep", *argv, "--n-radial", "100", "--out", str(out)]) == EXIT_INVALID
+        assert solved == []
+        assert not out.exists()
+
 
 class TestOptionSurface:
     EXPECTED_COUNTS = {
         "solve-radial": 10,
-        "solve-ground": 11,
-        "solve-sigma": 12,
-        "solve-lambda": 12,
-        "mountain-pass": 15,
+        "solve-ground": 10,
+        "solve-sigma": 11,
+        "solve-lambda": 11,
+        "mountain-pass": 13,
         "sweep": 18,
-        "diagnose": 12,
+        "diagnose": 11,
         "fit": 6,
     }
 
@@ -358,7 +413,10 @@ class TestOptionSurface:
             name: len(dests - {"records"}) for name, dests in _command_dests().items()
         }
         assert counts == self.EXPECTED_COUNTS
-        assert sum(counts.values()) == 96
+        assert sum(counts.values()) == 90
+        assert {name for name, dests in _command_dests().items() if "dim" in dests} == {
+            "solve-radial", "sweep"
+        }
 
     @pytest.mark.parametrize(
         "argv",
@@ -372,6 +430,8 @@ class TestOptionSurface:
             ["mountain-pass", "--alpha", "1", "--p", "4", *SMALL_AXI, "--seed", "7"],
             ["sweep", "--axis", "alpha", "--values", "2,4", "--p", "4", "--snapshot", "f.csv"],
             ["fit", "records.jsonl", "--alpha", "1"],
+            ["solve-ground", "--alpha", "1", "--p", "4", *SMALL_AXI, "--dim", "3"],
+            ["mountain-pass", "--alpha", "1", "--p", "4", *SMALL_AXI, "--trace", "t.csv"],
         ],
     )
     def test_option_the_command_does_not_read_exits_invalid(self, argv):
@@ -408,7 +468,7 @@ class TestOptionContract:
             "log_level": "warning", "alpha": "1", "p": "4", "dim": "3", "nr": "48",
             "ntheta": "16", "tol": "1e-10", "snapshot": str(tmp_path / "snap.csv"),
             "ctol": "1e-4", "eps": "1e-3", "delta": "0.25", "seed": "0",
-            "segments": "9", "maxit": "1", "trace": str(tmp_path / "trace.csv"),
+            "segments": "9", "maxit": "1",
             "axis": "alpha", "values": "2,4", "levels": "S_rad", "n_radial": "100",
             "level": "S_rad",
             "records": str(_unconverged_records(tmp_path / "records.jsonl")),

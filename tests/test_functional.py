@@ -26,7 +26,6 @@ from henon_annulus import (
     weighted_pnorm_p,
 )
 from henon_annulus import functional as fn
-from henon_annulus.weight import WeightSpec
 
 from cell_quadrature import cell_weighted_integral
 
@@ -141,7 +140,6 @@ def _cell_reference(u: DiscreteField, alpha: float, p: float):
     The per-cell rule is the one the kernels flatten into their operator,
     so the two agree up to summation order.
     """
-    spec = WeightSpec(alpha)
     grid = u.grid
     n = grid.n_nodes
     force, mat, pnorm = np.zeros(n), np.zeros((n, n)), 0.0
@@ -176,7 +174,7 @@ def _cell_reference(u: DiscreteField, alpha: float, p: float):
                 s = shapes(*x)
                 val = sum(u.values[i] * sk for i, sk in zip(ids, s))
                 return f(np.abs(val), val, s)
-            return cell_weighted_integral(cell, spec, g, dim=grid.dim)
+            return cell_weighted_integral(cell, alpha, g, dim=grid.dim)
 
         pnorm += integral(lambda av, v, s: av**p)
         for k, ik in enumerate(ids):

@@ -58,6 +58,12 @@ class TestSweepSpec:
             SweepSpec(axis="alpha", values=(1.0,), fixed=4.0, levels=())
         with pytest.raises(ConfigurationError):
             SweepSpec(axis="alpha", values=(1.0,), fixed=4.0, levels=("ground",))
+        # every point is checked, and only S_rad is posed off dim 3
+        with pytest.raises(ConfigurationError):
+            SweepSpec(axis="p", values=(4.0, 7.0), fixed=1.0)
+        with pytest.raises(ConfigurationError):
+            SweepSpec(axis="alpha", values=(1.0,), fixed=3.0, dim=4, levels=("S_rad", "T"))
+        SweepSpec(axis="alpha", values=(1.0,), fixed=3.0, dim=4)
 
     @pytest.mark.parametrize(
         "name,value,error",
@@ -215,6 +221,15 @@ class TestFitExponent:
     def test_requires_three_records(self):
         records = [_record(a, {"S_rad": _entry(a)}) for a in (2.0, 4.0)]
         with pytest.raises(ConfigurationError):
+            fit_exponent(records, "S_rad")
+
+    def test_refuses_a_p_sweep(self):
+        # every record at alpha = 1: there is no log-log line to fit
+        records = [
+            ResultRecord(alpha=1.0, p=p, dim=3, seed=0, levels={"S_rad": _entry(10.0 * p)})
+            for p in (3.0, 4.0, 5.0)
+        ]
+        with pytest.raises(ConfigurationError, match="distinct alpha"):
             fit_exponent(records, "S_rad")
 
     def test_unknown_level(self):

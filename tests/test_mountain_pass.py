@@ -1,8 +1,7 @@
 """Path deformation between the boundary bubbles: contracts and benchmarks."""
 
-import csv
 import importlib
-import math
+import logging
 
 import numpy as np
 import pytest
@@ -124,11 +123,11 @@ class TestMountainPass:
         with pytest.raises(ContractViolationError, match="endpoint moved"):
             mountain_pass(path, ProblemParams(1.0, 4.0), maxit=1)
 
-    def test_nondegenerate_benchmark(self, axi_grid, params_alpha1_p4, tmp_path):
+    def test_nondegenerate_benchmark(self, axi_grid, params_alpha1_p4, caplog):
         u0, u1 = _endpoints(axi_grid, params_alpha1_p4)
         path = straight_path(u0.field, u1.field, 12, 1.0, 4.0)
-        trace = tmp_path / "trace.csv"
-        result = mountain_pass(path, params_alpha1_p4, trace_csv=str(trace))
+        caplog.set_level(logging.DEBUG, logger="henon_annulus.mountain_pass")
+        result = mountain_pass(path, params_alpha1_p4)
         assert result.converged
         assert result.beta == pytest.approx(PINNED_BETA_ALPHA1_P4, rel=1e-9)
         # the pass level sits above both one-sided minima and below the
@@ -150,16 +149,16 @@ class TestMountainPass:
         assert 1 <= stats.linear_solves
         assert stats.krylov_capped == 0
 
-        with open(trace) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "node", "quotient"]
-        body = [(int(r[0]), int(r[1]), float(r[2])) for r in rows[1:]]
-        assert body
-        # per-iteration path maximum never increases
-        per_iter = {}
-        for it, _, q in body:
-            per_iter[it] = max(per_iter.get(it, -math.inf), q)
-        seq = [per_iter[k] for k in sorted(per_iter)]
+        # one DEBUG record per sweep; the per-sweep path maximum never
+        # increases, and its argmax node is the one named
+        sweeps = [r.args for r in caplog.records if r.name == "henon_annulus.mountain_pass"]
+        assert [number for number, _, _ in sweeps] == list(range(1, result.iterations + 1))
+        seq = []
+        for _, argmax, text in sweeps:
+            quotients = [float(q) for q in text.split()]
+            assert len(quotients) == 13
+            assert quotients[argmax] == max(quotients)
+            seq.append(max(quotients))
         assert all(b <= a * (1.0 + 1e-10) for a, b in zip(seq, seq[1:]))
 
     def test_benchmark_inputs_pinned(self, axi_grid):

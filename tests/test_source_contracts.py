@@ -5,9 +5,10 @@ which python -O strips; no module reaches into another module's private
 (underscore) names, so each module's internals can change alone; every
 module-level function, class and constant is used somewhere; no module
 imports a concurrency library, so the package runs in one thread and its
-per-grid cache needs no lock; and no module reaches a sparse direct
+per-grid cache needs no lock; no module reaches a sparse direct
 factorization, so every linear solve goes through the tensor-product
-stiffness solver or MINRES.
+stiffness solver or MINRES; and only the harness and the command line
+open files, so the solvers report through return values and the logger.
 """
 
 import ast
@@ -90,6 +91,23 @@ def test_no_sparse_direct_factorization(path):
         if name in SPARSE_DIRECT:
             found.append(f"{getattr(node, 'lineno', '?')}: {name}")
     assert found == [], f"{path.name} reaches a sparse direct solver: {found}"
+
+
+FILE_IO_MODULES = {"harness.py", "cli.py"}
+
+
+def test_no_file_io_outside_harness_and_cli():
+    found = []
+    for path in MODULES:
+        if path.name in FILE_IO_MODULES:
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"files opened outside the harness and the CLI: {found}"
 
 
 def _definitions(tree: ast.Module):

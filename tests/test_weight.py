@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from henon_annulus import ConfigurationError, DomainError, build_axi_grid, build_radial_grid
 from henon_annulus.weight import (
-    WeightSpec,
     radial_rule,
     subdivision_count,
     theta_rule,
@@ -34,29 +33,29 @@ def _quad_reference(a, b, alpha, f):
 
 class TestWeightEval:
     def test_matches_definition(self):
-        spec = WeightSpec(3.5)
+        alpha = 3.5
         r = np.array([1.1, 1.9, 2.0, 2.3, 2.9])
         # exp(alpha log d) and d**alpha may differ by an ulp
         np.testing.assert_allclose(
-            weight_eval(r, spec), np.abs(r - 2.0) ** 3.5, rtol=5e-15
+            weight_eval(r, alpha), np.abs(r - 2.0) ** 3.5, rtol=5e-15
         )
 
     def test_point_values(self):
-        assert weight_eval(np.array([2.0]), WeightSpec(5.0))[0] == 0.0
+        assert weight_eval(np.array([2.0]), 5.0)[0] == 0.0
         for alpha in (0.0, 1.0, 137.5):
-            assert weight_eval(np.array([1.0]), WeightSpec(alpha))[0] == 1.0
-            assert weight_eval(np.array([3.0]), WeightSpec(alpha))[0] == 1.0
-        assert weight_eval(np.array([2.5]), WeightSpec(2.0))[0] == pytest.approx(
+            assert weight_eval(np.array([1.0]), alpha)[0] == 1.0
+            assert weight_eval(np.array([3.0]), alpha)[0] == 1.0
+        assert weight_eval(np.array([2.5]), 2.0)[0] == pytest.approx(
             0.25, rel=1e-15
         )
-        assert weight_eval(np.array([2.9]), WeightSpec(100.0))[0] == pytest.approx(
+        assert weight_eval(np.array([2.9]), 100.0)[0] == pytest.approx(
             0.9**100, rel=1e-12
         )
 
     def test_range_and_monotonicity(self):
         r = np.linspace(1.0, 3.0, 10_001)
-        lower = weight_eval(r, WeightSpec(3.0))
-        higher = weight_eval(r, WeightSpec(7.0))
+        lower = weight_eval(r, 3.0)
+        higher = weight_eval(r, 7.0)
         assert np.all((lower >= 0.0) & (lower <= 1.0))
         assert np.all((higher >= 0.0) & (higher <= 1.0))
         inside = np.abs(r - 2.0) < 1.0
@@ -64,26 +63,27 @@ class TestWeightEval:
 
     def test_alpha_zero_is_one(self):
         r = np.linspace(1.0, 3.0, 11)
-        np.testing.assert_array_equal(weight_eval(r, WeightSpec(0.0)), np.ones(11))
+        np.testing.assert_array_equal(weight_eval(r, 0.0), np.ones(11))
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            weight_eval(np.array([0.5]), WeightSpec(1.0))
+            weight_eval(np.array([0.5]), 1.0)
         with pytest.raises(DomainError):
-            weight_eval(np.array([3.5]), WeightSpec(1.0))
+            weight_eval(np.array([3.5]), 1.0)
 
     def test_underflow_flushes_to_zero(self):
         # |r-2|^alpha underflows far below the double range for huge alpha
-        spec = WeightSpec(1000.0)
-        vals = weight_eval(np.array([1.999, 2.001]), spec)
+        alpha = 1000.0
+        vals = weight_eval(np.array([1.999, 2.001]), alpha)
         assert np.all(vals == 0.0)
         assert np.all(np.isfinite(vals))
 
     def test_spec_validation(self):
+        r = np.array([1.5])
         with pytest.raises(ConfigurationError):
-            WeightSpec(-1.0)
+            weight_eval(r, -1.0)
         with pytest.raises(ConfigurationError):
-            WeightSpec(1000.5)
+            weight_eval(r, 1000.5)
 
 
 class TestRules:
@@ -113,7 +113,7 @@ class TestRules:
         # exactly; check against the closed form int_0^h s^a (2+s)^2 ds
         for alpha in (0.5, 7.3, 300.0):
             pts, wts = radial_rule(2.0, 2.4, alpha)
-            psi = weight_eval(pts, WeightSpec(alpha))
+            psi = weight_eval(pts, alpha)
             got = float(np.sum(wts * psi * pts**2))
             h = 0.4
             want = (
@@ -161,34 +161,32 @@ class TestBatchedRule:
 
 class TestCellIntegrals:
     def test_zero_integrand(self):
-        got = cell_weighted_integral((1.2, 1.7), WeightSpec(3.0), lambda r: 0.0 * r)
+        got = cell_weighted_integral((1.2, 1.7), 3.0, lambda r: 0.0 * r)
         assert got == 0.0
 
     def test_alpha_zero_sphere_closed_form(self):
         a, b = 1.3, 2.6
-        got = cell_weighted_integral((a, b), WeightSpec(0.0), lambda r: np.ones_like(r))
+        got = cell_weighted_integral((a, b), 0.0, lambda r: np.ones_like(r))
         assert got == pytest.approx(4.0 * math.pi * (b**3 - a**3) / 3.0, rel=1e-13)
 
     def test_alpha_two_outer_half_closed_form(self):
-        got = cell_weighted_integral((2.0, 3.0), WeightSpec(2.0), lambda r: np.ones_like(r))
+        got = cell_weighted_integral((2.0, 3.0), 2.0, lambda r: np.ones_like(r))
         # 4 pi int_2^3 (r-2)^2 r^2 dr = 4 pi (1/5 + 1 + 4/3)
         assert got == pytest.approx(4.0 * math.pi * 38.0 / 15.0, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 7.3, 40.0])
     def test_kink_cells_against_quad(self, alpha):
-        spec = WeightSpec(alpha)
         for a, b in [(1.8, 2.0), (2.0, 2.4), (1.9, 2.1)]:
-            got = cell_weighted_integral((a, b), spec, lambda r: np.cos(r))
+            got = cell_weighted_integral((a, b), alpha, lambda r: np.cos(r))
             assert got == pytest.approx(_quad_reference(a, b, alpha, math.cos), rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.5, 7.3, 40.0])
     def test_grid_cells_against_quad(self, alpha):
         grid = build_radial_grid(50, "graded")
-        spec = WeightSpec(alpha)
         total_got = 0.0
         total_want = 0.0
         for a, b in zip(grid.nodes[:-1], grid.nodes[1:]):
-            total_got += cell_weighted_integral((a, b), spec, lambda r: np.cos(r))
+            total_got += cell_weighted_integral((a, b), alpha, lambda r: np.cos(r))
             total_want += _quad_reference(a, b, alpha, math.cos)
         assert total_got == pytest.approx(total_want, rel=1e-9)
 
@@ -196,24 +194,23 @@ class TestCellIntegrals:
     def test_whole_annulus_mass_closed_form(self, alpha):
         # int_Omega psi dx = 4 pi (8/(alpha+1) + 2/(alpha+3)), exactly
         grid = build_radial_grid(400, "graded")
-        spec = WeightSpec(alpha)
         total = sum(
-            cell_weighted_integral((a, b), spec, lambda r: np.ones_like(r))
+            cell_weighted_integral((a, b), alpha, lambda r: np.ones_like(r))
             for a, b in zip(grid.nodes[:-1], grid.nodes[1:])
         )
         exact = 4.0 * math.pi * (8.0 / (alpha + 1.0) + 2.0 / (alpha + 3.0))
         assert total == pytest.approx(exact, rel=1e-11)
 
     def test_line_measure(self):
-        spec = WeightSpec(1.0)
+        alpha = 1.0
         got = cell_weighted_integral(
-            (1.0, 2.0), spec, lambda r: np.ones_like(r), measure="line"
+            (1.0, 2.0), alpha, lambda r: np.ones_like(r), measure="line"
         )
         # int_1^2 (2-r) dr = 1/2
         assert got == pytest.approx(0.5, rel=1e-13)
 
     def test_two_dim_cell_against_nested_quad(self):
-        spec = WeightSpec(2.0)
+        alpha = 2.0
 
         def f(r, t):
             return np.cos(r) * (1.0 + np.cos(t))
@@ -227,9 +224,9 @@ class TestCellIntegrals:
         cell = ((1.5, 2.5), (0.2, 1.1))
         # this ad-hoc cell is far wider than any grid cell; the base rule
         # is coarse in theta and refinement converges it out
-        got = cell_weighted_integral(cell, spec, f)
+        got = cell_weighted_integral(cell, alpha, f)
         assert got == pytest.approx(want, rel=1e-6)
-        refined = cell_weighted_integral(cell, spec, f, refine=4)
+        refined = cell_weighted_integral(cell, alpha, f, refine=4)
         assert refined == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.5, 7.3, 40.0, 300.0])
@@ -237,10 +234,9 @@ class TestCellIntegrals:
         # quadrature convergence: doubling changes < 1e-8 relative on
         # smooth f, per cell, over a whole working grid
         grid = build_radial_grid(200, "graded")
-        spec = WeightSpec(alpha)
         for a, b in zip(grid.nodes[:-1], grid.nodes[1:]):
-            base = cell_weighted_integral((a, b), spec, lambda r: np.cos(r))
-            fine = cell_weighted_integral((a, b), spec, lambda r: np.cos(r), refine=2)
+            base = cell_weighted_integral((a, b), alpha, lambda r: np.cos(r))
+            fine = cell_weighted_integral((a, b), alpha, lambda r: np.cos(r), refine=2)
             if abs(base) < 1e-280:
                 # at the flush floor the point masses straddle the cutoff;
                 # only zero-equivalence is meaningful there
@@ -249,11 +245,11 @@ class TestCellIntegrals:
                 assert abs(fine - base) / abs(base) < 1e-8
 
     def test_huge_alpha_finite(self):
-        spec = WeightSpec(900.0)
-        got = cell_weighted_integral((1.0, 3.0), spec, lambda r: np.ones_like(r))
+        alpha = 900.0
+        got = cell_weighted_integral((1.0, 3.0), alpha, lambda r: np.ones_like(r))
         assert np.isfinite(got)
         assert got > 0.0
 
     def test_bad_measure_rejected(self):
         with pytest.raises(ConfigurationError):
-            cell_weighted_integral((1.0, 2.0), WeightSpec(1.0), lambda r: r, measure="disk")
+            cell_weighted_integral((1.0, 2.0), 1.0, lambda r: r, measure="disk")
