@@ -3,13 +3,15 @@
 Four independent tools share this module because they all answer "where did
 the minimizer go":
 
-* concentration_report splits a field into its inner and outer pieces with
-  the boundary cutoff and reports the mass ratio lambda = int psi u1^p /
-  int psi u2^p, the energy ratio xi = E(u1)/E(u2), the fraction of
-  Dirichlet energy within given distances of the energy barycenter, the
-  barycenter itself, and the asymmetry index. The dichotomy of the
-  two-piece decomposition predicts that along alpha-sweeps min(lambda,
-  1/lambda) collapses: one piece eventually carries everything.
+* concentration_report splits an axisymmetric field into its inner and
+  outer pieces with the boundary cutoff and reports the mass ratio
+  lambda = int psi u1^p / int psi u2^p, the energy ratio xi = E(u1)/E(u2),
+  the fraction of Dirichlet energy within given distances of the energy
+  barycenter, the barycenter itself, and the asymmetry index. Radial
+  fields are refused: the only level they carry is the theta-constant
+  S_rad. The dichotomy of the two-piece decomposition predicts that along
+  alpha-sweeps min(lambda, 1/lambda) collapses: one piece eventually
+  carries everything.
 * hardy_margin checks the one-dimensional weighted inequality
 
       int_1^3 |v'|^2 |2 - rho| drho  >=
@@ -40,7 +42,6 @@ from .geometry import AxiGrid, DiscreteField, RadialGrid, surface_measure
 from .profiles import CutoffSpec, phi_cutoff_decompose
 
 BOUNDARY_RADII = (0.1, 0.2, 0.3, 0.5, 2.0)
-SYNTHETIC_THETA_CELLS = 64
 GAUSS_ORDER = 16
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -83,26 +84,12 @@ def _ratio(num: float, den: float) -> float:
 
 
 def _energy_cloud(u: DiscreteField):
-    """Cell energies with their center coordinates (E, r_mid, theta_mid).
-
-    Radial fields are spread over a synthetic uniform theta grid with the
-    exact sin-theta shares, so every field yields a genuine distribution
-    on the meridian half-disk.
-    """
-    cells = fn.cell_energies(u)
+    """Cell energies with their center coordinates (E, r_mid, theta_mid)."""
     grid = u.grid
-    if isinstance(grid, AxiGrid):
-        r_mid = 0.5 * (grid.r_nodes[:-1] + grid.r_nodes[1:])
-        t_mid = 0.5 * (grid.theta_nodes[:-1] + grid.theta_nodes[1:])
-        rr, tt = np.meshgrid(r_mid, t_mid, indexing="ij")
-        return cells.ravel(), rr.ravel(), tt.ravel()
-    theta = np.linspace(0.0, math.pi, SYNTHETIC_THETA_CELLS + 1)
-    shares = 0.5 * (np.cos(theta[:-1]) - np.cos(theta[1:]))
-    t_mid = 0.5 * (theta[:-1] + theta[1:])
-    r_mid = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    cloud = np.outer(cells, shares)
+    r_mid = 0.5 * (grid.r_nodes[:-1] + grid.r_nodes[1:])
+    t_mid = 0.5 * (grid.theta_nodes[:-1] + grid.theta_nodes[1:])
     rr, tt = np.meshgrid(r_mid, t_mid, indexing="ij")
-    return cloud.ravel(), rr.ravel(), tt.ravel()
+    return fn.cell_energies(u).ravel(), rr.ravel(), tt.ravel()
 
 
 def asymmetry_index(u: DiscreteField) -> float:
@@ -114,16 +101,15 @@ def asymmetry_index(u: DiscreteField) -> float:
     the fraction of the energy carried by angular differences. Both vanish
     exactly when the field is theta-constant on the grid, the second one
     only then, and both are at most 1. Scale-invariant by construction.
-    Radial fields are theta-constant by definition and return 0.
     """
+    if not isinstance(u.grid, AxiGrid):
+        raise GridCompatibilityError("the asymmetry index is defined for axisymmetric fields")
     if u.is_zero:
         raise DegenerateFieldError("asymmetry index of the zero field")
-    if isinstance(u.grid, RadialGrid):
-        return 0.0
     total = fn.dirichlet_energy(u)
     if total <= 0.0:
         raise DegenerateFieldError("asymmetry index needs positive energy")
-    shares = fn.theta_cell_energies(u) / total
+    shares = np.sum(fn.cell_energies(u), axis=0) / total
     uniform = fn.theta_measure_shares(u.grid)
     variation = 0.5 * float(np.sum(np.abs(shares - uniform)))
     angular = fn.angular_energy(u) / total
@@ -134,6 +120,8 @@ def concentration_report(
     u: DiscreteField, alpha: float, p: float, spec: CutoffSpec
 ) -> ConcentrationReport:
     """Split u at the midline, then report where mass and energy sit."""
+    if not isinstance(u.grid, AxiGrid):
+        raise GridCompatibilityError("the concentration report needs an axisymmetric field")
     if u.is_zero:
         raise DegenerateFieldError("concentration report of the zero field")
     inner, outer = phi_cutoff_decompose(u, spec)

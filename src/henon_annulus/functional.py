@@ -61,7 +61,8 @@ points of R with int psi |u|^p = 1 and E = R(u) satisfy
     A u = E F(u),      F_i(u) = int psi |u|^{p-2} u phi_i,
 
 and v = u / sqrt(E) solves the level form A v = E^{p/2} F(v);
-residual_pde reports the 2-norm of that defect over free nodes.
+residual_pde reports the 2-norm of that defect over free nodes, with A or
+with the merit stiffness A(lam) below, which certifies the balanced level.
 
 The free nodes are one contiguous block, the interior radial rows times
 every angular node, so the stiffness on them keeps the tensor form
@@ -71,9 +72,11 @@ interior. stiffness_solver solves it by fast diagonalization
 V^T M_theta V = I, the substitution U = W V^T leaves one SPD radial
 tridiagonal K_r + mu_j M_r per angular mode, so a solve is two dense
 products with V and one tridiagonal LDL^T solve over all modes at once.
-The merit stiffness A(lam) = (1 + lam) A_plus + (1 - lam) A_minus keeps
-that form, its radial cells scaled by 1 + lam above r = 2 and 1 - lam
-below, and reuses the angular eigenbasis cached per grid.
+The merit stiffness A(lam) = (1 + lam) A_plus + (1 - lam) A_minus of the
+balanced level is formed only here: stiffness_matrix(grid, lam) returns
+it (the cached A at lam = 0), and stiffness_solver(grid, lam) solves it,
+since it keeps the tensor form, its radial cells scaled by 1 + lam above
+r = 2 and 1 - lam below, and reuses the angular eigenbasis cached per grid.
 """
 
 from __future__ import annotations
@@ -128,17 +131,6 @@ class RayleighReport:
     def __post_init__(self) -> None:
         if self.level_tag not in LEVEL_TAGS:
             raise ConfigurationError(f"unknown level tag {self.level_tag!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "dirichlet_energy": self.dirichlet_energy,
-            "weighted_pnorm_p": self.weighted_pnorm_p,
-            "quotient": self.quotient,
-            "level_tag": self.level_tag,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "grid": self.grid,
-        }
 
 
 def _eta_moments(theta_nodes: np.ndarray):
@@ -359,7 +351,7 @@ def cell_energies(u: DiscreteField) -> np.ndarray:
     """Per-cell Dirichlet energy: (n_cells,) radial, (nr, nt) axisymmetric.
 
     Summing any subset partitions the total exactly, which is what the
-    half-annulus split and the per-theta diagnostics rely on.
+    half-annulus split and the asymmetry index rely on.
     """
     asm = _assembly(u.grid)
     if isinstance(u.grid, RadialGrid):
@@ -396,10 +388,15 @@ def halfspace_energies(u: DiscreteField) -> tuple[float, float]:
     return float(np.sum(e[mid:])), float(np.sum(e[:mid]))
 
 
-def stiffness_matrix(grid) -> sp.csr_matrix:
-    """Full symmetric stiffness matrix (no boundary-condition rows removed)."""
+def stiffness_matrix(grid, lam: float = 0.0) -> sp.csr_matrix:
+    """Full symmetric A(lam) = (1 + lam) A_plus + (1 - lam) A_minus (no
+    boundary-condition rows removed); the plain stiffness at lam = 0,
+    cached per grid."""
     asm = _assembly(grid)
-    return asm.cached("stiffness", lambda: _build_stiffness(asm, 0, len(asm.k_r)))
+    if lam == 0.0:
+        return asm.cached("stiffness", lambda: _build_stiffness(asm, 0, len(asm.k_r)))
+    a_plus, a_minus = halfspace_stiffness(grid)
+    return ((1.0 + lam) * a_plus + (1.0 - lam) * a_minus).tocsr()
 
 
 def halfspace_stiffness(grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -543,13 +540,9 @@ def weighted_force(u: DiscreteField, alpha: float, p: float) -> np.ndarray:
 
 
 def angular_energy(u: DiscreteField) -> float:
-    """The theta-derivative share int |u_theta|^2 / r^2 dmu of the energy.
-
-    Zero exactly iff the field is theta-constant on the grid; radial fields
-    return 0 by definition.
-    """
-    if isinstance(u.grid, RadialGrid):
-        return 0.0
+    """The theta-derivative share int |u_theta|^2 / r^2 dmu of the energy
+    of an axisymmetric field; zero exactly iff it is theta-constant on the
+    grid."""
     asm = _assembly(u.grid)
     u2 = u.values_2d
     u00 = u2[:-1, :-1]
@@ -559,13 +552,6 @@ def angular_energy(u: DiscreteField) -> float:
     q = u00 - u10 - u01 + u11
     s = u01 - u00
     return float(np.sum(asm.c2 * (s * s + s * q + q * q / 3.0)))
-
-
-def theta_cell_energies(u: DiscreteField) -> np.ndarray:
-    """Dirichlet energy per angular cell (column sums of cell_energies)."""
-    if isinstance(u.grid, RadialGrid):
-        raise ConfigurationError("theta_cell_energies needs an axisymmetric field")
-    return np.sum(cell_energies(u), axis=0)
 
 
 def theta_measure_shares(grid: AxiGrid) -> np.ndarray:
@@ -648,19 +634,22 @@ def functional_gradient(u: DiscreteField, alpha: float, p: float) -> DiscreteFie
     return DiscreteField(u.grid, g)
 
 
-def residual_pde(u: DiscreteField, level: float, alpha: float, p: float) -> float:
-    """2-norm over free nodes of A u - level^{p/2} F(u).
+def residual_pde(u: DiscreteField, level: float, alpha: float, p: float,
+                 lam: float = 0.0) -> float:
+    """2-norm over free nodes of A(lam) u - level^{p/2} F(u).
 
-    This is the weak defect of the level-form equation
+    At lam = 0 this is the weak defect of the level-form equation
     -Delta u = level^{p/2} psi |u|^{p-2} u; it vanishes at critical points
     rescaled to unit Dirichlet energy with level equal to their quotient.
-    With level = 0 it degenerates to |A u|, the pure Laplace defect.
+    With the merit stiffness A(lam) it is the defect the balanced level T
+    is certified by. With level = 0 it degenerates to |A u|, the pure
+    Laplace defect.
     """
     if u.is_zero:
         raise DegenerateFieldError("residual of the zero field")
     if level < 0.0:
         raise ConfigurationError(f"level must be >= 0, got {level!r}")
-    a = stiffness_matrix(u.grid)
+    a = stiffness_matrix(u.grid, lam)
     defect = a @ u.values - level ** (p / 2.0) * weighted_force(u, alpha, p)
     return float(np.linalg.norm(defect[~u.grid.dirichlet_mask]))
 

@@ -39,6 +39,10 @@ P_MARGIN = 0.05
 MIN_RADIAL_CELLS = 16
 MIN_THETA_CELLS = 8
 
+# Interior-to-boundary spacing ratio of a graded radial grid; grid
+# descriptors (and so every record) carry it, as graded(40) or r40.
+RADIAL_GRADING = 40.0
+
 
 def surface_measure(dim: int) -> float:
     """Area omega_{N-1} of the unit sphere S^{N-1} in R^N (4 pi for N = 3)."""
@@ -81,14 +85,6 @@ class ProblemParams:
     @property
     def two_star(self) -> float:
         return 2.0 * self.dim / (self.dim - 2.0)
-
-    @property
-    def inner_radius(self) -> float:
-        return INNER_RADIUS
-
-    @property
-    def outer_radius(self) -> float:
-        return OUTER_RADIUS
 
 
 def _two_sided_stretch(n_cells: int, factor: float) -> np.ndarray:
@@ -235,30 +231,26 @@ class AxiGrid:
         return np.meshgrid(self.r_nodes, self.theta_nodes, indexing="ij")
 
 
-def build_radial_grid(
-    n: int, grading: str = "uniform", *, factor: float = 40.0, dim: int = 3
-) -> RadialGrid:
+def build_radial_grid(n: int, grading: str = "uniform", *, dim: int = 3) -> RadialGrid:
     """Radial grid with n cells on [1, 3] and r = 2 as an exact node.
 
     For odd n the two halves get floor(n/2) and ceil(n/2) cells so r = 2
     stays a node; the grid is then uniform within each half but not
     globally (documented auto-adjustment). grading="graded" clusters nodes
-    near r in {1, 2, 3} with the declared interior-to-boundary spacing
-    ratio `factor`.
+    near r in {1, 2, 3} with the interior-to-boundary spacing ratio
+    RADIAL_GRADING.
     """
     if not isinstance(n, int) or n < MIN_RADIAL_CELLS:
         raise ConfigurationError(f"n must be an integer >= {MIN_RADIAL_CELLS}, got {n!r}")
     if grading not in ("uniform", "graded"):
         raise ConfigurationError(f"unknown radial grading {grading!r}")
-    if factor < 1.0:
-        raise ConfigurationError("grading factor must be >= 1")
-    eff = 1.0 if grading == "uniform" else factor
+    eff = 1.0 if grading == "uniform" else RADIAL_GRADING
     n_left = n // 2
     n_right = n - n_left
     left = _half_nodes(INNER_RADIUS, MID_RADIUS, n_left, eff)
     right = _half_nodes(MID_RADIUS, OUTER_RADIUS, n_right, eff)
     nodes = np.concatenate([left, right[1:]])
-    label = "uniform" if grading == "uniform" else f"graded({factor:g})"
+    label = "uniform" if grading == "uniform" else f"graded({RADIAL_GRADING:g})"
     return RadialGrid(nodes=nodes, grading=label, dim=dim)
 
 
@@ -267,7 +259,6 @@ def build_axi_grid(
     ntheta: int,
     grading: str = "uniform",
     *,
-    radial_factor: float = 40.0,
     theta_factor: float = 30.0,
 ) -> AxiGrid:
     """Axisymmetric tensor grid with nr radial and ntheta angular cells.
@@ -280,9 +271,7 @@ def build_axi_grid(
     """
     if grading not in ("uniform", "graded", "graded-polar"):
         raise ConfigurationError(f"unknown axi grading {grading!r}")
-    radial = build_radial_grid(
-        nr, "uniform" if grading == "uniform" else "graded", factor=radial_factor, dim=3
-    )
+    radial = build_radial_grid(nr, "uniform" if grading == "uniform" else "graded")
     if not isinstance(ntheta, int) or ntheta < MIN_THETA_CELLS:
         raise ConfigurationError(
             f"ntheta must be an integer >= {MIN_THETA_CELLS}, got {ntheta!r}"
@@ -291,10 +280,10 @@ def build_axi_grid(
         theta = math.pi * _two_sided_stretch(ntheta, theta_factor)
         theta[0] = 0.0
         theta[-1] = math.pi
-        label = f"graded(r{radial_factor:g},t{theta_factor:g})"
+        label = f"graded(r{RADIAL_GRADING:g},t{theta_factor:g})"
     else:
         theta = np.linspace(0.0, math.pi, ntheta + 1)
-        label = "uniform" if grading == "uniform" else f"graded(r{radial_factor:g})"
+        label = "uniform" if grading == "uniform" else f"graded(r{RADIAL_GRADING:g})"
     return AxiGrid(r_nodes=radial.nodes, theta_nodes=theta, grading=label)
 
 

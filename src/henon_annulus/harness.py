@@ -266,6 +266,22 @@ def append_records(records: list[ResultRecord], path: str) -> None:
             sink.write(json.dumps(record.to_json_dict()) + "\n")
 
 
+def _check_levels(levels) -> None:
+    """Refuse levels that do not map each tag to an object whose value is
+    a number or null and whose converged, if present, is a bool."""
+    if not isinstance(levels, dict):
+        raise TypeError("levels must map each level tag to an object")
+    for tag, entry in levels.items():
+        if not isinstance(entry, dict):
+            raise TypeError("levels must map each level tag to an object")
+        value = entry.get("value")
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, float))):
+            raise TypeError(f"{tag} value must be a number or null, got {value!r}")
+        if not isinstance(entry.get("converged", False), bool):
+            raise TypeError(f"{tag} converged must be a bool, got {entry['converged']!r}")
+
+
 def load_records(path: str) -> list[ResultRecord]:
     """The records of a JSON-lines file; a malformed line names path:line."""
     records = []
@@ -278,10 +294,7 @@ def load_records(path: str) -> list[ResultRecord]:
                 if not isinstance(data, dict):
                     raise TypeError("not a JSON object")
                 record = ResultRecord.from_json_dict(data)
-                levels = record.levels
-                if not (isinstance(levels, dict)
-                        and all(isinstance(entry, dict) for entry in levels.values())):
-                    raise TypeError("levels must map each level tag to an object")
+                _check_levels(record.levels)
                 records.append(record)
             except KeyError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: record lacks {exc}") from None

@@ -12,7 +12,8 @@ Euler-Lagrange system A u = E F(u):
 * solve_sigma: projected descent over the balanced set E_plus = E_minus,
   then a Newton solve bordered by that constraint, certified against the
   merit stiffness A(c) = (1 + c) A_plus + (1 - c) A_minus of the
-  multiplier c it recovers (level T).
+  multiplier c it recovers (level T); functional.stiffness_matrix(grid, c)
+  is the one place that matrix is formed.
 * solve_lambda: unconstrained descent started from the bubble at a chosen
   boundary sphere (inner by default); if the iterate keeps strictly more
   energy in that half it is an interior local minimizer of the region
@@ -44,6 +45,11 @@ field to roundoff, and on the balanced set runs bordered by the
 constraint as that set's teleport. Every Newton step, bordered or not, is
 one MINRES solve of a symmetric system preconditioned by the stiffness
 solver (`_newton_step`); no matrix is factored.
+
+Every level is certified by one rule (`_certificate`): the masked merit
+gradient 2 (A(c) u - R F(u)) has norm at most GRADIENT_FACTOR R, and the
+level-form defect functional.residual_pde of u / sqrt(R) is at most
+RESIDUAL_TOL, with c = 0 off the balanced set.
 """
 
 from __future__ import annotations
@@ -153,7 +159,7 @@ class SolveResult:
         }
 
 
-def _newton_step(jac, r: np.ndarray, solver, stats: SolveStats,
+def _newton_step(jac, r: np.ndarray, solver, stats,
                 col: np.ndarray | None = None, c: float = 0.0):
     """The Newton step of the free block jac by MINRES, or None if it failed.
 
@@ -163,7 +169,7 @@ def _newton_step(jac, r: np.ndarray, solver, stats: SolveStats,
     S^{-1}, bordered by 1 / (col^T S^{-1} col), which bounds the iteration
     count independently of the mesh. Returns (dw, dlam), dlam = 0 without
     a border. A solve that reaches KRYLOV_MAX iterations or ends
-    non-finite is a failed step.
+    non-finite is a failed step. stats takes the counts (see newton).
     """
     m = len(r)
     if col is None:
@@ -201,12 +207,6 @@ def _newton_step(jac, r: np.ndarray, solver, stats: SolveStats,
     return (x, 0.0) if col is None else (x[:m], float(x[m]))
 
 
-def _merit_stiffness(grid, lam: float):
-    """A(lam) = (1 + lam) A_plus + (1 - lam) A_minus."""
-    a_plus, a_minus = fn.halfspace_stiffness(grid)
-    return ((1.0 + lam) * a_plus + (1.0 - lam) * a_minus).tocsr()
-
-
 def _clamped_normalized(grid, values, alpha: float, p: float):
     vals = np.maximum(values, 0.0)
     vals[grid.dirichlet_mask] = 0.0
@@ -237,12 +237,27 @@ def _merit_energy(u: DiscreteField, lam: float = 0.0) -> tuple[float, float, flo
     return (1.0 + lam) * ep + (1.0 - lam) * em, ep, em
 
 
-def _level_defect(a, u: DiscreteField, level: float, alpha: float, p: float) -> float:
-    """Defect |A v - level^{p/2} F(v)| at v = u / sqrt(level), free nodes."""
-    v = u.with_values(u.values / math.sqrt(level))
-    rhs = level ** (p / 2.0) * fn.weighted_force(v, alpha, p)
-    defect = a @ v.values - rhs
-    return float(np.linalg.norm(defect[~u.grid.dirichlet_mask]))
+def _merit_gradient(a, u: DiscreteField, merit: float, force: np.ndarray) -> np.ndarray:
+    """2 (A u - merit F(u)) for the stiffness a, zero at Dirichlet nodes;
+    force is F(u)."""
+    g = 2.0 * (a @ u.values - merit * force)
+    g[u.grid.dirichlet_mask] = 0.0
+    return g
+
+
+def _certificate(u: DiscreteField, merit: float, force: np.ndarray, alpha: float,
+                 p: float, lam: float = 0.0) -> tuple[float, float, bool]:
+    """(gnorm, residual, stationary) of the merit functional with A(lam) at u.
+
+    gnorm is the norm of the merit gradient (force is F(u), so a caller's
+    memo spares its evaluation), residual the level-form defect of
+    u / sqrt(merit) (functional.residual_pde), and u is stationary when
+    gnorm <= GRADIENT_FACTOR * merit and residual <= RESIDUAL_TOL.
+    """
+    g = _merit_gradient(fn.stiffness_matrix(u.grid, lam), u, merit, force)
+    gnorm = float(np.linalg.norm(g))
+    residual = fn.residual_pde(fn.scaled_critical_field(u, merit), merit, alpha, p, lam)
+    return gnorm, residual, gnorm <= GRADIENT_FACTOR * merit and residual <= RESIDUAL_TOL
 
 
 def _multiplier(grid, u: DiscreteField, merit: float, force: np.ndarray) -> float:
@@ -261,7 +276,7 @@ def _multiplier(grid, u: DiscreteField, merit: float, force: np.ndarray) -> floa
 
 
 def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
-           lam: float | None = None, *, stats: SolveStats | None = None):
+           lam: float | None = None, *, stats=None):
     """Damped Newton iteration on A w = F(w) from w = merit^{1/(p-2)} u.
 
     Without lam, A is the plain stiffness. With lam, A = A(lam) and the
@@ -280,6 +295,9 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     takes more than twice the steps with bordered runs cut at 8, and the
     mountain pass takes more sweeps with unbordered runs allowed 16.
 
+    stats takes the linear-solve and Krylov counts: a SolveStats, or the
+    mountain pass's MpassStats, which has the same three counters.
+
     Returns (field, lam), the polished nonnegative normalized field and the
     final multiplier (None without a border), or None if no step reduced
     the residual.
@@ -289,11 +307,9 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     stats = SolveStats() if stats is None else stats
     if bordered:
         a_plus, a_minus = fn.halfspace_stiffness(grid)
-    else:
-        stiffness = fn.stiffness_matrix(grid)
 
     def system(wv, lamv):
-        a = _merit_stiffness(grid, lamv) if bordered else stiffness
+        a = fn.stiffness_matrix(grid, lamv or 0.0)
         field = DiscreteField(grid, wv)
         r = (a @ wv - fn.weighted_force(field, alpha, p))[free]
         c = float(wv @ (a_plus @ wv) - wv @ (a_minus @ wv)) if bordered else 0.0
@@ -307,14 +323,11 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
             progressed = True
             break
         jac = (a - (p - 1.0) * fn.weighted_linearized_matrix(field, alpha, p))[free, free]
-        if bordered:
-            # the column is d = d/dlam of A(lam) w; the constraint's
-            # gradient is 2 d, so its linearization c + 2 d . dw = 0 is
-            # halved to keep the system symmetric
-            d = ((a_plus - a_minus) @ w)[free]
-            got = _newton_step(jac, r, fn.stiffness_solver(grid, lam), stats, d, 0.5 * c)
-        else:
-            got = _newton_step(jac, r, fn.stiffness_solver(grid), stats)
+        # with the border, the column is d = d/dlam of A(lam) w; the
+        # constraint's gradient is 2 d, so its linearization
+        # c + 2 d . dw = 0 is halved to keep the system symmetric
+        d = ((a_plus - a_minus) @ w)[free] if bordered else None
+        got = _newton_step(jac, r, fn.stiffness_solver(grid, lam or 0.0), stats, d, 0.5 * c)
         if got is None:
             break
         dw, dlam = got
@@ -436,7 +449,8 @@ def _descend(
     teleports are then `newton` bordered by the constraint, since the
     balanced minimizer is a saddle of the quotient, and the final
     unbordered polish, which would leave the set, is skipped: solve_sigma
-    polishes and certifies the projected minimizer itself.
+    polishes and certifies the projected minimizer itself, so the
+    closing `_certificate` (plain stiffness) matters only without project.
     """
     a = fn.stiffness_matrix(grid)
     solve = fn.stiffness_solver(grid)
@@ -466,11 +480,6 @@ def _descend(
         if force_memo[0] is not field:
             force_memo = (field, fn.weighted_force(field, alpha, p))
         return force_memo[1]
-
-    def masked_gradient(field, merit_value):
-        g = 2.0 * (a @ field.values - merit_value * force(field))
-        g[mask] = 0.0
-        return g
 
     def balance_normal(field):
         b = 2.0 * ((balance_op[0] - balance_op[1]) @ field.values)
@@ -507,7 +516,7 @@ def _descend(
     last_polish = -POLISH_EVERY
     polish_gap = POLISH_EVERY
     while iterations < MAX_ITERATIONS:
-        g = masked_gradient(u, merit)
+        g = _merit_gradient(a, u, merit, force(u))
         gnorm = stopping_norm(u, g)
         if gnorm <= GRADIENT_FACTOR * merit and rel_change <= tol:
             break
@@ -574,16 +583,14 @@ def _descend(
         rel_change = (merit - tm) / merit
         u, merit, ep, em = trial, tm, tep, tem
 
-    residual = _level_defect(a, u, merit, alpha, p)
+    gnorm, residual, converged = _certificate(u, merit, force(u), alpha, p)
     if not project and p > 2.0 and residual > 1e-3 * RESIDUAL_TOL:
         got = newton(grid, u, merit, alpha, p, stats=stats)
         if got is not None:
             pm, pep, pem = _merit_energy(got[0])
             if pm <= merit * (1.0 + 1e-9):
                 u, merit, ep, em = got[0], pm, pep, pem
-                residual = _level_defect(a, u, merit, alpha, p)
-        gnorm = float(np.linalg.norm(masked_gradient(u, merit)))
-    converged = gnorm <= GRADIENT_FACTOR * merit and residual <= RESIDUAL_TOL
+                gnorm, residual, converged = _certificate(u, merit, force(u), alpha, p)
     return _DescentState(
         field=u,
         merit=merit,
@@ -788,12 +795,8 @@ def solve_sigma(
             field, lam = got
 
     merit, ep, em = _merit_energy(field, lam)
-    a = _merit_stiffness(grid, lam)
-    g = 2.0 * (a @ field.values - merit * fn.weighted_force(field, alpha, p))
-    g[grid.dirichlet_mask] = 0.0
-    gnorm = float(np.linalg.norm(g))
-    residual = _level_defect(a, field, merit, alpha, p)
-    stationary = gnorm <= GRADIENT_FACTOR * merit and residual <= RESIDUAL_TOL
+    gnorm, residual, stationary = _certificate(
+        field, merit, fn.weighted_force(field, alpha, p), alpha, p, lam)
     certified = _DescentState(
         field=field,
         merit=merit,

@@ -45,7 +45,7 @@ from .errors import (
     DegenerateFieldError,
 )
 from .geometry import DiscreteField, ProblemParams
-from .minimize import SolveStats, newton
+from .minimize import newton
 
 log = logging.getLogger(__name__)
 
@@ -78,8 +78,9 @@ class MpassStats:
     """What the pass did, as counts only, so reruns compare bitwise.
 
     A polish is one Newton run from the argmax node, tried when it ran and
-    accepted when its field replaced the node; linear solves, Krylov
-    iterations and Krylov capped count its Newton systems as in
+    accepted when its field replaced the node. The pass hands this object
+    to minimize.newton, which counts the linear solves, Krylov iterations
+    and Krylov-capped solves of those runs here, as it does in a
     SolveStats.
     """
 
@@ -256,7 +257,7 @@ def mountain_pass(
         g = gradient(nodes[k])
         return float(np.linalg.norm(g)) / (2.0 * math.sqrt(quotients[k]))
 
-    stats, newton_stats = MpassStats(), SolveStats()
+    stats = MpassStats()
     polish_memo: tuple = (None, None)
     while iterations < maxit:
         top_residual = argmax_residual()
@@ -351,7 +352,7 @@ def mountain_pass(
                 if polish_memo[0] is not nodes[k]:
                     stats.polishes_tried += 1
                     got = newton(grid, nodes[k], float(quotients[k]), alpha, p,
-                                 stats=newton_stats)
+                                 stats=stats)
                     polish_memo = (nodes[k], None if got is None else got[0])
                 polished = polish_memo[1]
                 if polished is not None:
@@ -411,10 +412,5 @@ def mountain_pass(
         converged=converged,
         endpoint_levels=endpoint_levels,
         straight_max=straight_max,
-        stats=dataclasses.replace(
-            stats,
-            linear_solves=newton_stats.linear_solves,
-            krylov_iterations=newton_stats.krylov_iterations,
-            krylov_capped=newton_stats.krylov_capped,
-        ),
+        stats=stats,
     )

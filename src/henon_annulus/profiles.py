@@ -199,20 +199,11 @@ def phi_cutoff_decompose(
     outer piece (support in r > 2 + delta).
 
     The pieces sum to phi u nodewise and live on cells separated by the
-    dead band, so their Dirichlet energies add exactly.
+    dead band, so their Dirichlet energies add exactly. u must be
+    axisymmetric (values_2d refuses a radial field).
     """
-    grid = u.grid
-    if isinstance(grid, RadialGrid):
-        r_nodes = grid.nodes
-        phi = phi_cutoff(r_nodes, spec)
-        w = u.values * phi
-        inner = np.where(r_nodes < 2.0, w, 0.0)
-        outer = np.where(r_nodes > 2.0, w, 0.0)
-    else:
-        r_nodes = grid.r_nodes
-        phi = phi_cutoff(r_nodes, spec)[:, None]
-        w2 = u.values_2d * phi
-        rmask = (r_nodes < 2.0)[:, None]
-        inner = np.where(rmask, w2, 0.0).ravel()
-        outer = np.where((r_nodes > 2.0)[:, None], w2, 0.0).ravel()
-    return DiscreteField(grid, inner), DiscreteField(grid, outer)
+    w2 = u.values_2d * phi_cutoff(u.grid.r_nodes, spec)[:, None]
+    r = u.grid.r_nodes[:, None]
+    inner = np.where(r < 2.0, w2, 0.0).ravel()
+    outer = np.where(r > 2.0, w2, 0.0).ravel()
+    return DiscreteField(u.grid, inner), DiscreteField(u.grid, outer)

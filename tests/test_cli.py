@@ -362,8 +362,13 @@ class TestExitCodes:
             json.dumps({"alpha": 2.0, "p": 4.0, "dim": 3, "levels": {}}),
             "[1, 2]",
             json.dumps({"alpha": 2.0, "p": 4.0, "dim": 3, "seed": 0, "levels": {"S_rad": []}}),
+            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3, "seed": 0,
+                        "levels": {"S_rad": {"value": "x", "converged": True}}}),
+            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3, "seed": 0,
+                        "levels": {"S_rad": {"value": 80.0, "converged": "yes"}}}),
         ],
-        ids=["no-seed", "not-an-object", "level-not-an-object"],
+        ids=["no-seed", "not-an-object", "level-not-an-object", "value-not-a-number",
+             "converged-not-a-bool"],
     )
     def test_malformed_records_exit_invalid(self, tmp_path, capsys, line):
         records = _unconverged_records(tmp_path / "records.jsonl")

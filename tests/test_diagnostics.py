@@ -123,7 +123,12 @@ class TestSobolevConstant:
 
 class TestAsymmetryIndex:
     def test_radial_field_is_zero(self, radial_grid):
-        assert asymmetry_index(_tent(radial_grid)) == 0.0
+        # every level a radial field carries is theta-constant, so both
+        # diagnostics refuse it, as hardy_margin refuses an axisymmetric one
+        with pytest.raises(GridCompatibilityError):
+            asymmetry_index(_tent(radial_grid))
+        with pytest.raises(GridCompatibilityError):
+            concentration_report(_tent(radial_grid), 1.0, 4.0, CutoffSpec())
 
     def test_theta_constant_axi_field_is_zero(self, axi_grid):
         u = DiscreteField.sampled(axi_grid, lambda r, t: (r - 1.0) * (3.0 - r))
@@ -178,11 +183,13 @@ class TestConcentrationReport:
         assert all(a <= b + 1e-15 for a, b in zip(fracs, fracs[1:]))
         assert rep.boundary_fraction[2.0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_balanced_field_finite_ratios(self, radial_grid):
-        rep = concentration_report(_tent(radial_grid), 1.0, 4.0, CutoffSpec())
+    def test_balanced_field_finite_ratios(self, axi_grid):
+        u = DiscreteField.sampled(axi_grid, lambda r, t: 1.0 - np.abs(r - 2.0))
+        rep = concentration_report(u, 1.0, 4.0, CutoffSpec())
         assert 0.0 < rep.mass_ratio < math.inf
         assert 0.0 < rep.energy_ratio < math.inf
-        assert rep.asymmetry_index == 0.0
+        # theta-constant on the grid, so zero up to roundoff
+        assert rep.asymmetry_index == pytest.approx(0.0, abs=1e-13)
 
     def test_dead_band_support_rejected(self, axi_grid):
         u = DiscreteField.sampled(

@@ -305,7 +305,7 @@ class TestHalfspaceDecomposition:
         assert ep == 0.0
 
     @pytest.mark.parametrize("kind", ["axi", "radial-3", "radial-4"])
-    def test_stiffness_splits(self, kind, axi_grid):
+    def test_stiffness_splits(self, kind, axi_grid, rng):
         if kind == "axi":
             grid, u = axi_grid, _bump_axi(axi_grid)
         else:
@@ -318,6 +318,15 @@ class TestHalfspaceDecomposition:
         split = float(v @ (a_plus @ v)) + float(v @ (a_minus @ v))
         assert split == pytest.approx(total, rel=1e-14)
         assert total == pytest.approx(dirichlet_energy(u), rel=1e-12)
+        # The merit stiffness against the cell energies of each half, on a
+        # rough field: on the smooth bump the quadratic form cancels down
+        # to ~1e-12 relative, as the check above allows.
+        v = rng.standard_normal(grid.n_nodes)
+        v[grid.dirichlet_mask] = 0.0
+        ep, em = halfspace_energies(DiscreteField(grid, v))
+        for lam in (-0.9, 0.7):
+            merit = float(v @ (fn.stiffness_matrix(grid, lam) @ v))
+            assert merit == pytest.approx((1.0 + lam) * ep + (1.0 - lam) * em, rel=1e-13)
 
     @pytest.mark.parametrize("kind", ["axi", "radial-3"])
     def test_linearized_matrix_keeps_stiffness_pattern(self, kind, axi_grid):
@@ -358,9 +367,8 @@ class TestStiffnessSolver:
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_matches_sparse_direct_solve(self, name, lam, rng):
         grid = self.GRIDS[name]()
-        a_plus, a_minus = fn.halfspace_stiffness(grid)
         free = fn.free_slice(grid)
-        a = ((1.0 + lam) * a_plus + (1.0 - lam) * a_minus).tocsr()[free, free]
+        a = fn.stiffness_matrix(grid, lam)[free, free]
         b = rng.standard_normal(a.shape[0])
         x = fn.stiffness_solver(grid, lam)(b)
         norm_a = float(np.max(np.abs(a).sum(axis=1)))

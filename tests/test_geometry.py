@@ -21,8 +21,6 @@ class TestProblemParams:
         params = ProblemParams(2.0, 4.0)
         assert params.dim == 3
         assert params.two_star == pytest.approx(6.0)
-        assert params.inner_radius == 1.0
-        assert params.outer_radius == 3.0
 
     def test_alpha_bounds(self):
         ProblemParams(0.0, 4.0)

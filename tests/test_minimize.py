@@ -48,6 +48,9 @@ FROZEN_RADIAL_LEVELS = {
 # accidental change in solver or quadrature behavior, not truth
 PINNED_S_ALPHA1_P4 = 14.051234106668938
 PINNED_T_ALPHA1_P4 = 16.986141264495174
+# 128 x 48 graded-polar near the critical exponent, where the bordered
+# Newton solve and the A(lam) certificate work hardest
+PINNED_T_ALPHA1_P55 = 13.142193852546008
 
 
 class TestRadial:
@@ -135,6 +138,13 @@ class TestSigma:
         ep, em = halfspace_energies(result.field)
         assert abs(ep - em) <= ctol * (ep + em)
         assert result.constraint_defect == pytest.approx(ep - em, abs=1e-12)
+
+    def test_pinned_level_near_critical(self):
+        grid = build_axi_grid(128, 48, "graded-polar")
+        result = solve_sigma(ProblemParams(alpha=1.0, p=5.5), grid, ctol=1e-4)
+        assert result.converged
+        assert result.report.quotient == pytest.approx(PINNED_T_ALPHA1_P55, rel=1e-9)
+        assert result.report.residual <= 1e-6
 
     def test_dominates_ground_level(self, axi_grid, params_alpha1_p4):
         t = solve_sigma(params_alpha1_p4, axi_grid).report.quotient

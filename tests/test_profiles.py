@@ -201,19 +201,14 @@ class TestCutoff:
         phi_u = u.values * phi_cutoff(axi_grid.node_mesh()[0].ravel(), spec)
         np.testing.assert_array_equal(inner.values + outer.values, phi_u)
 
-    def test_disjoint_supports(self, axi_grid, radial_grid):
+    def test_disjoint_supports(self, axi_grid):
         spec = CutoffSpec(delta=0.25)
-        for grid in (axi_grid, radial_grid):
-            if grid is axi_grid:
-                u = DiscreteField.sampled(grid, lambda r, t: (r - 1.0) * (3.0 - r))
-                r_nodes = grid.node_mesh()[0].ravel()
-            else:
-                u = DiscreteField.sampled(grid, lambda r: (r - 1.0) * (3.0 - r))
-                r_nodes = grid.nodes
-            inner, outer = phi_cutoff_decompose(u, spec)
-            assert np.all(inner.values[r_nodes >= 2.0 - spec.delta] == 0.0)
-            assert np.all(outer.values[r_nodes <= 2.0 + spec.delta] == 0.0)
-            assert np.all(inner.values * outer.values == 0.0)
+        u = DiscreteField.sampled(axi_grid, lambda r, t: (r - 1.0) * (3.0 - r))
+        r_nodes = axi_grid.node_mesh()[0].ravel()
+        inner, outer = phi_cutoff_decompose(u, spec)
+        assert np.all(inner.values[r_nodes >= 2.0 - spec.delta] == 0.0)
+        assert np.all(outer.values[r_nodes <= 2.0 + spec.delta] == 0.0)
+        assert np.all(inner.values * outer.values == 0.0)
 
     def test_energy_and_mass_additivity(self, axi_grid):
         # supports separated by the dead band share no cell, so both the
