@@ -15,11 +15,15 @@ reads it.
 stderr (DEBUG shows each Newton teleport of the descent and each sweep of
 the mountain pass, with every path node's quotient).
 
-A plain-text configuration file (``key = value`` per line, ``#`` comments)
-given with --config may set any long option of the same command (``force =
-true`` or ``false`` for fit's switch); values given on the command line
-win, and a key that names no option of the command exits 3. Field
-snapshots requested with --snapshot are CSV nodal dumps with header
+An argument @FILE stands for the arguments in FILE, which then go through
+the same parser as the command line (``henon-annulus solve-sigma
+@run.args --alpha 2``). A line holds one or more arguments in shell
+syntax and ``#`` starts a comment. A later argument wins, so options
+after @FILE override it. Any argument that starts with ``@``, an option's
+value included, is read as a file. An unknown option, a bad value or a
+missing file exits 3, as on the command line.
+
+Field snapshots requested with --snapshot are CSV nodal dumps with header
 ``r,theta,value`` (radial snapshots drop the theta column).
 """
 
@@ -32,6 +36,7 @@ import dataclasses
 import io
 import json
 import logging
+import shlex
 import sys
 import time
 from dataclasses import dataclass
@@ -52,11 +57,10 @@ EXIT_INVALID = 3
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 # Every option any command takes, by dest. Each is None unless given, so a
-# handler passes on only what the command line or the config set.
+# handler passes on only what the arguments set.
 _OPTIONS = {
     "out": {"help": "write the result here instead of stdout"},
     "format": {"choices": ("json", "csv"), "help": "output format (default json)"},
-    "config": {"help": "key = value file setting this command's options; the command line wins"},
     "log_level": {"type": str.upper, "choices": LOG_LEVELS,
                   "help": "log to stderr from this level (default WARNING; DEBUG shows "
                           "the descent's teleports and the pass's sweeps)"},
@@ -81,7 +85,7 @@ _OPTIONS = {
     "force": {"action": "store_true", "help": "fit despite non-converged records"},
 }
 
-_IO = ("out", "format", "config", "log_level")
+_IO = ("out", "format", "log_level")
 # Only the radial level is posed for general N; the axisymmetric grid is 3-D.
 _POINT = ("alpha", "p", "nr", "tol", "snapshot")
 _RADIAL_POINT = _POINT + ("dim",)
@@ -89,25 +93,20 @@ _AXI_POINT = _POINT + ("ntheta",)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; the contract wants 3."""
+    """argparse exits with status 2 on bad usage; the contract wants 3.
+
+    Arguments of an @FILE are split per line in shell syntax, # comments
+    dropped.
+    """
 
     def error(self, message):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
-
-def read_config(path: str) -> dict[str, str]:
-    """key = value lines; blank lines and # comments ignored."""
-    table: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as source:
-        for lineno, raw in enumerate(source, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            table[key.strip().lower().replace("-", "_")] = value.strip()
-    return table
+    def convert_arg_line_to_args(self, arg_line):
+        try:
+            return shlex.split(arg_line, comments=True)
+        except ValueError as exc:
+            self.error(f"argument file line {arg_line!r}: {exc}")
 
 
 def _or(value, default):
@@ -115,7 +114,7 @@ def _or(value, default):
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
-    """The named options that the command line or the config set."""
+    """The named options that the arguments set."""
     values = {name: getattr(args, name) for name in names}
     return {name: value for name, value in values.items() if value is not None}
 
@@ -302,8 +301,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# The parser and the config check are both built from this table, so a
-# command accepts exactly the options its handler reads.
+# The parser is built from this table, so a command accepts exactly the
+# options its handler reads.
 _COMMANDS = {
     "solve-radial": _solve("radial minimizer S_rad", False, mz.solve_radial),
     "solve-ground": _solve("global minimizer S on the axisymmetric grid", True, mz.solve_ground),
@@ -329,7 +328,9 @@ _COMMANDS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="henon-annulus", description=__doc__.split("\n")[0])
+    parser = _Parser(
+        prog="henon-annulus", description=__doc__.split("\n")[0], fromfile_prefix_chars="@"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         cmd = sub.add_parser(name, help=command.help)
@@ -340,29 +341,6 @@ def build_parser() -> _Parser:
             cmd.add_argument(flag, dest=dest, default=None, **_OPTIONS[dest])
         cmd.set_defaults(handler=command.handler)
     return parser
-
-
-def _apply_config(args: argparse.Namespace, table: dict[str, str]) -> None:
-    """Fill the options the command line left unset from the config table."""
-    options = _COMMANDS[args.command].options
-    for key, text in table.items():
-        if key not in options or key == "config":
-            raise ValueError(f"config key {key!r} names no option of {args.command}")
-        if getattr(args, key) is not None:
-            continue
-        spec = _OPTIONS[key]
-        if spec.get("action") == "store_true":
-            if text.lower() not in ("true", "false"):
-                raise ValueError(f"config key {key!r} must be true or false, got {text!r}")
-            value = text.lower() == "true"
-        else:
-            value = spec.get("type", str)(text)
-            if "choices" in spec and value not in spec["choices"]:
-                raise ValueError(
-                    f"config key {key!r} must be one of {', '.join(spec['choices'])}, "
-                    f"got {text!r}"
-                )
-        setattr(args, key, value)
 
 
 @contextlib.contextmanager
@@ -384,8 +362,6 @@ def _stderr_logging(level: str):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            _apply_config(args, read_config(args.config))
         with _stderr_logging(_or(args.log_level, "WARNING")):
             return args.handler(args)
     except NonConvergenceError as exc:

@@ -268,16 +268,16 @@ def append_records(records: list[ResultRecord], path: str) -> None:
 
 def _check_levels(levels) -> None:
     """Refuse levels that do not map each tag to an object whose value is
-    a number or null and whose converged, if present, is a bool."""
+    a finite number or null and whose converged, if present, is a bool."""
     if not isinstance(levels, dict):
         raise TypeError("levels must map each level tag to an object")
     for tag, entry in levels.items():
         if not isinstance(entry, dict):
             raise TypeError("levels must map each level tag to an object")
         value = entry.get("value")
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, (int, float))):
-            raise TypeError(f"{tag} value must be a number or null, got {value!r}")
+        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        if value is not None and (isinstance(value, bool) or not finite):
+            raise TypeError(f"{tag} value must be a finite number or null, got {value!r}")
         if not isinstance(entry.get("converged", False), bool):
             raise TypeError(f"{tag} converged must be a bool, got {entry['converged']!r}")
 

@@ -644,38 +644,28 @@ def solve_radial(
     return _result(params, state, "S_rad", "half-sine")
 
 
-def default_ground_inits(
-    params: ProblemParams, grid: AxiGrid
-) -> list[tuple[str, DiscreteField]]:
-    """The three standard starts: embedded radial minimizer and both bubbles."""
+def solve_ground(
+    params: ProblemParams, grid: AxiGrid, tol: float = DEFAULT_TOL
+) -> SolveResult:
+    """Minimize over the axisymmetric space from three starts (level S).
+
+    The starts are the embedded radial minimizer and a bubble at each
+    boundary sphere. The strictly lowest converged quotient wins; on a tie
+    within 1e-9 relative the non-radial start wins and the tie is logged,
+    so degenerate symmetry-breaking cannot hide behind the radial
+    candidate.
+    """
+    _check_grid(params, grid, AxiGrid)
     radial_grid = RadialGrid(nodes=grid.r_nodes, grading=grid.grading, dim=3)
     radial = solve_radial(params, radial_grid)
-    return [
+    tagged = [
         ("radial", embed_radial(radial.field, grid)),
         ("outer-bubble", instanton(InstantonParams(INIT_EPSILON, 0), grid)),
         ("inner-bubble", instanton(InstantonParams(INIT_EPSILON, 1), grid)),
     ]
-
-
-def solve_ground(
-    params: ProblemParams,
-    grid: AxiGrid,
-    inits: list[DiscreteField] | None = None,
-    tol: float = DEFAULT_TOL,
-) -> SolveResult:
-    """Minimize over the axisymmetric space from several starts (level S).
-
-    The strictly lowest converged quotient wins; on a tie within 1e-9
-    relative the non-radial start wins and the tie is logged, so degenerate
-    symmetry-breaking cannot hide behind the radial candidate.
-    """
-    _check_grid(params, grid, AxiGrid)
-    if inits is None:
-        tagged = default_ground_inits(params, grid)
-    else:
-        if not inits:
-            raise ConfigurationError("need at least one initial guess")
-        tagged = [(f"init-{k}", u) for k, u in enumerate(inits)]
+    # Release the radial grid, and with it its per-grid assembly, before
+    # the three descents.
+    del radial_grid, radial
     outcomes: list[SolveResult] = []
     failures: list[str] = []
     for tag, init in tagged:

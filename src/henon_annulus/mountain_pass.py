@@ -93,7 +93,14 @@ class MpassStats:
 
 @dataclass(frozen=True)
 class MpassResult:
-    """Mountain-pass outcome: the level, the pass field, and certificates."""
+    """Mountain-pass outcome: the level, the pass field, and certificates.
+
+    straight_max is the maximum quotient of the path the pass was handed,
+    before any sweep; every caller hands it straight_path's output. A
+    sweep that raises the path maximum by more than 1e-10 relative is a
+    ContractViolationError, so beta <= straight_max holds by construction
+    up to that slack.
+    """
 
     beta: float
     w: DiscreteField
@@ -231,9 +238,6 @@ def mountain_pass(
     m = len(path.nodes) - 1
     endpoint_levels = (float(path.quotients[0]), float(path.quotients[m]))
     endpoint_values = (path.nodes[0].values.copy(), path.nodes[m].values.copy())
-
-    straight = straight_path(path.nodes[0], path.nodes[m], m, alpha, p)
-    straight_max = straight.max_quotient
 
     nodes = list(path.nodes)
     quotients = path.quotients.copy()
@@ -411,6 +415,6 @@ def mountain_pass(
         iterations=iterations,
         converged=converged,
         endpoint_levels=endpoint_levels,
-        straight_max=straight_max,
+        straight_max=path.max_quotient,
         stats=stats,
     )

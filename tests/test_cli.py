@@ -1,4 +1,4 @@
-"""Command-line surface: subcommands, exit codes, config file, formats."""
+"""Command-line surface: subcommands, exit codes, argument files, formats."""
 
 import argparse
 import csv
@@ -15,7 +15,6 @@ from henon_annulus.cli import (
     EXIT_OK,
     build_parser,
     main,
-    read_config,
 )
 
 
@@ -23,6 +22,14 @@ def _run_json(argv, out_path):
     rc = main([*argv, "--out", str(out_path)])
     with open(out_path) as fh:
         return rc, json.load(fh)
+
+
+def _exit_code(argv) -> int:
+    """main's code, whether it returns it or the parser raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 SMALL_AXI = ["--nr", "48", "--ntheta", "16"]
@@ -63,6 +70,43 @@ def _unconverged_records(path):
         )
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     return path
+
+
+def _option_values(tmp_path) -> dict:
+    """A test value for every option and positional of any command."""
+    return {
+        "out": str(tmp_path / "out"), "format": "json",
+        "log_level": "warning", "alpha": "1", "p": "4", "dim": "3", "nr": "48",
+        "ntheta": "16", "tol": "1e-10", "snapshot": str(tmp_path / "snap.csv"),
+        "ctol": "1e-4", "eps": "1e-3", "delta": "0.25", "seed": "0",
+        "segments": "9", "maxit": "1",
+        "axis": "alpha", "values": "2,4", "levels": "S_rad", "n_radial": "100",
+        "level": "S_rad",
+        "records": str(_unconverged_records(tmp_path / "records.jsonl")),
+    }
+
+
+def _all_options(command, values) -> list[tuple[str, ...]]:
+    """Every argument of the command with its test value, positional first."""
+    dests = _command_dests()[command]
+    options = [(values["records"],)] if "records" in dests else []
+    for dest in sorted(dests - {"records"}):
+        flag = "--" + dest.replace("_", "-")
+        options.append((flag,) if dest == "force" else (flag, values[dest]))
+    return options
+
+
+def _payload(path) -> list[dict]:
+    """The JSON objects a command wrote, without their wall times."""
+    text = path.read_text()
+    try:
+        objects = [json.loads(text)]
+    except json.JSONDecodeError:
+        objects = [json.loads(line) for line in text.splitlines()]
+    for obj in objects:
+        obj.pop("elapsed", None)
+        obj.pop("timings", None)
+    return objects
 
 
 class TestSolveCommands:
@@ -259,70 +303,93 @@ class TestLogLevel:
         assert err.value.code == EXIT_INVALID
 
     def test_bad_level_in_config_exits_invalid(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("log-level = chatty\n")
-        argv = ["solve-radial", "--alpha", "1", "--p", "4", "--config", str(cfg)]
-        assert main(argv) == EXIT_INVALID
+        args = tmp_path / "run.args"
+        args.write_text("--log-level chatty\n")
+        argv = ["solve-radial", "--alpha", "1", "--p", "4", f"@{args}"]
+        assert _exit_code(argv) == EXIT_INVALID
 
 
 class TestConfigFile:
+    """An @FILE's arguments go through the parser as if typed in its place."""
+
     def test_config_supplies_and_cli_overrides(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# fixture config\nalpha = 1.0\np = 4.0\nnr = 100\n")
-        rc, payload = _run_json(
-            ["solve-radial", "--config", str(cfg)], tmp_path / "a.json"
-        )
+        args = tmp_path / "run.args"
+        args.write_text("# fixture arguments\n--alpha 1.0\n--p 4.0 --nr 100\n")
+        rc, payload = _run_json(["solve-radial", f"@{args}"], tmp_path / "a.json")
         assert rc == EXIT_OK
         assert payload["params"]["alpha"] == 1.0
 
         rc, payload = _run_json(
-            ["solve-radial", "--config", str(cfg), "--alpha", "2"],
-            tmp_path / "b.json",
+            ["solve-radial", f"@{args}", "--alpha", "2"], tmp_path / "b.json"
         )
         assert rc == EXIT_OK
         assert payload["params"]["alpha"] == 2.0
 
     def test_hyphenated_keys_and_comments(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n-radial = 100  # small grid\naxis = alpha\n")
-        table = read_config(str(cfg))
-        assert table == {"n_radial": "100", "axis": "alpha"}
+        args = tmp_path / "run.args"
+        args.write_text("--n-radial 100  # small grid\n\n  # only a comment\n--axis 'alpha'\n")
+        parsed = build_parser().parse_args(["sweep", f"@{args}"])
+        assert (parsed.n_radial, parsed.axis) == (100, "alpha")
 
-    def test_malformed_config_exits_invalid(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha 1.0\n")
-        rc = main(["solve-radial", "--config", str(cfg)])
-        assert rc == EXIT_INVALID
+    def test_malformed_config_exits_invalid(self, tmp_path, capsys):
+        args = tmp_path / "run.args"
+        for text in ('--alpha "1.0\n', "alpha = 1.0\np = 4\n"):
+            args.write_text(text)
+            assert _exit_code(["solve-radial", f"@{args}"]) == EXIT_INVALID
+        assert "alpha = 1.0" in capsys.readouterr().err
+
+    def test_missing_file_exits_invalid(self, tmp_path, capsys):
+        missing = tmp_path / "absent.args"
+        argv = ["solve-radial", "--alpha", "1", "--p", "4", f"@{missing}"]
+        assert _exit_code(argv) == EXIT_INVALID
+        assert str(missing) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, key",
         [("solve-sigma", "ctl"), ("solve-radial", "segments"), ("solve-radial", "config")],
     )
     def test_key_naming_no_option_exits_invalid(self, tmp_path, capsys, command, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"alpha = 1\np = 4\n{key} = 1e-9\n")
-        rc = main([command, *SMALL_AXI[:2], "--config", str(cfg)])
-        assert rc == EXIT_INVALID
-        assert repr(key) in capsys.readouterr().err
+        args = tmp_path / "run.args"
+        args.write_text(f"--alpha 1\n--p 4\n--{key} 1e-9\n")
+        assert _exit_code([command, *SMALL_AXI[:2], f"@{args}"]) == EXIT_INVALID
+        assert f"--{key}" in capsys.readouterr().err
 
     def test_bad_choice_in_config_exits_invalid(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format = xml\n")
-        argv = ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--config", str(cfg)]
-        assert main(argv) == EXIT_INVALID
+        args = tmp_path / "run.args"
+        args.write_text("--format xml\n")
+        argv = ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", f"@{args}"]
+        assert _exit_code(argv) == EXIT_INVALID
 
     def test_force_from_config(self, tmp_path):
         records = _unconverged_records(tmp_path / "records.jsonl")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("force = true\n")
-        rc, payload = _run_json(["fit", str(records), "--config", str(cfg)], tmp_path / "f.json")
+        args = tmp_path / "run.args"
+        args.write_text("--force\n")
+        rc, payload = _run_json(["fit", str(records), f"@{args}"], tmp_path / "f.json")
         assert rc == EXIT_OK
         assert payload["slope"] == pytest.approx(1.0, abs=1e-12)
 
-        cfg.write_text("force = false\n")
-        assert main(["fit", str(records), "--config", str(cfg)]) == EXIT_INVALID
-        cfg.write_text("force = maybe\n")
-        assert main(["fit", str(records), "--config", str(cfg)]) == EXIT_INVALID
+        args.write_text("# no switch\n")
+        assert main(["fit", str(records), f"@{args}"]) == EXIT_INVALID
+        args.write_text("--force maybe\n")
+        assert _exit_code(["fit", str(records), f"@{args}"]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("command", sorted(_command_dests()))
+    def test_file_matches_command_line(self, command, tmp_path):
+        options = [
+            pair for pair in _all_options(command, _option_values(tmp_path))
+            if pair[0] != "--out"
+        ]
+        args = tmp_path / "run.args"
+        # one option per line, the switch and the positional included
+        args.write_text("".join(f"{' '.join(pair)}\n" for pair in options))
+        outcomes = []
+        for tail, out in (
+            ([part for pair in options for part in pair], tmp_path / "line.out"),
+            ([f"@{args}"], tmp_path / "file.out"),
+        ):
+            outcomes.append((_exit_code([command, *tail, "--out", str(out)]), _payload(out)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] in (EXIT_OK, EXIT_NONCONVERGED)
 
 
 class TestExitCodes:
@@ -366,9 +433,13 @@ class TestExitCodes:
                         "levels": {"S_rad": {"value": "x", "converged": True}}}),
             json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3, "seed": 0,
                         "levels": {"S_rad": {"value": 80.0, "converged": "yes"}}}),
+            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3, "seed": 0,
+                        "levels": {"S_rad": {"value": math.nan, "converged": True}}}),
+            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3, "seed": 0,
+                        "levels": {"S_rad": {"value": math.inf, "converged": True}}}),
         ],
         ids=["no-seed", "not-an-object", "level-not-an-object", "value-not-a-number",
-             "converged-not-a-bool"],
+             "converged-not-a-bool", "value-nan", "value-infinity"],
     )
     def test_malformed_records_exit_invalid(self, tmp_path, capsys, line):
         records = _unconverged_records(tmp_path / "records.jsonl")
@@ -403,14 +474,14 @@ class TestExitCodes:
 
 class TestOptionSurface:
     EXPECTED_COUNTS = {
-        "solve-radial": 10,
-        "solve-ground": 10,
-        "solve-sigma": 11,
-        "solve-lambda": 11,
-        "mountain-pass": 13,
-        "sweep": 18,
-        "diagnose": 11,
-        "fit": 6,
+        "solve-radial": 9,
+        "solve-ground": 9,
+        "solve-sigma": 10,
+        "solve-lambda": 10,
+        "mountain-pass": 12,
+        "sweep": 17,
+        "diagnose": 10,
+        "fit": 5,
     }
 
     def test_option_counts(self):
@@ -418,7 +489,7 @@ class TestOptionSurface:
             name: len(dests - {"records"}) for name, dests in _command_dests().items()
         }
         assert counts == self.EXPECTED_COUNTS
-        assert sum(counts.values()) == 90
+        assert sum(counts.values()) == 82
         assert {name for name, dests in _command_dests().items() if "dim" in dests} == {
             "solve-radial", "sweep"
         }
@@ -464,30 +535,12 @@ class TestOptionContract:
     silently ignored; one it reads but the parser lacks would crash.
     """
 
-    @staticmethod
-    def _values(tmp_path) -> dict:
-        config = tmp_path / "empty.cfg"
-        config.write_text("# every option comes from the command line\n")
-        return {
-            "out": str(tmp_path / "out"), "format": "json", "config": str(config),
-            "log_level": "warning", "alpha": "1", "p": "4", "dim": "3", "nr": "48",
-            "ntheta": "16", "tol": "1e-10", "snapshot": str(tmp_path / "snap.csv"),
-            "ctol": "1e-4", "eps": "1e-3", "delta": "0.25", "seed": "0",
-            "segments": "9", "maxit": "1",
-            "axis": "alpha", "values": "2,4", "levels": "S_rad", "n_radial": "100",
-            "level": "S_rad",
-            "records": str(_unconverged_records(tmp_path / "records.jsonl")),
-        }
-
     @pytest.mark.parametrize("command", sorted(_command_dests()))
     def test_reads_match_options(self, command, tmp_path, monkeypatch):
         dests = _command_dests()[command]
-        values = self._values(tmp_path)
+        values = _option_values(tmp_path)
         assert dests <= set(values) | {"force"}, "give the new option a test value"
-        argv = [command] + ([values["records"]] if "records" in dests else [])
-        for dest in sorted(dests - {"records"}):
-            flag = "--" + dest.replace("_", "-")
-            argv += [flag] if dest == "force" else [flag, values[dest]]
+        argv = [command] + [part for pair in _all_options(command, values) for part in pair]
 
         seen = []
         real_build = cli.build_parser

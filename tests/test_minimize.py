@@ -107,21 +107,14 @@ class TestGround:
         s = solve_ground(params_alpha1_p4, axi_grid).report.quotient
         assert s < s_rad * (1.0 - 1e-3)
 
-    def test_explicit_inits(self, axi_grid, params_alpha1_p4):
-        u0 = instanton(InstantonParams(1e-3, 0), axi_grid)
-        result = solve_ground(params_alpha1_p4, axi_grid, inits=[u0])
-        assert result.converged
-        assert result.init_tag == "init-0"
-
-    def test_empty_inits_rejected(self, axi_grid, params_alpha1_p4):
-        with pytest.raises(ConfigurationError):
-            solve_ground(params_alpha1_p4, axi_grid, inits=[])
-
-    def test_zero_init_does_not_converge(self, axi_grid, params_alpha1_p4):
-        with pytest.raises(NonConvergenceError):
-            solve_ground(
-                params_alpha1_p4, axi_grid, inits=[DiscreteField.zeros(axi_grid)]
-            )
+    def test_no_start_converges(self, axi_grid_small, params_alpha1_p4, monkeypatch):
+        # a residual bound no field meets: every start fails certification
+        monkeypatch.setattr(minimize, "RESIDUAL_TOL", -1.0)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_ground(params_alpha1_p4, axi_grid_small)
+        message = str(err.value)
+        for tag in ("radial", "outer-bubble", "inner-bubble"):
+            assert f"{tag}: not converged" in message
 
     def test_rejects_radial_grid(self, radial_grid, params_alpha1_p4):
         with pytest.raises(ConfigurationError):

@@ -19,7 +19,7 @@ from henon_annulus import (
     normalize,
     path_crossing,
     rayleigh,
-    solve_ground,
+    solve_lambda,
     straight_path,
     weighted_pnorm_p,
 )
@@ -33,8 +33,10 @@ PINNED_BETA_ALPHA1_P55 = 13.525271158319786
 
 
 def _endpoints(axi_grid, params):
-    u0 = solve_ground(params, axi_grid, inits=[instanton(InstantonParams(1e-3, 0), axi_grid)])
-    u1 = solve_ground(params, axi_grid, inits=[instanton(InstantonParams(1e-3, 1), axi_grid)])
+    u0 = solve_lambda(params, axi_grid, index=0)
+    u1 = solve_lambda(params, axi_grid, index=1)
+    for u in (u0, u1):
+        assert u.converged and not u.escaped
     return u0, u1
 
 
