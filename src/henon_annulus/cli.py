@@ -1,7 +1,10 @@
-"""Command-line front end: single solves, sweeps, diagnostics, and fits.
+"""Command-line front end: single solves, mountain passes, sweeps and fits.
 
-Every subcommand prints one result object (JSON by default, a flat CSV row
-set with --format csv) and communicates outcome through the exit code:
+Every subcommand prints JSON: one object for a solve, a pass or a fit, and
+one record per line for a sweep (a sweep that solves S carries the ground
+state's concentration report in each record). `sweep --format csv` prints
+one row per (alpha, p, level) instead; no other command has a table to
+print. The exit code tells the outcome:
 
     0   success (all requested solves converged)
     2   a solve finished without meeting its convergence contract
@@ -31,9 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
-import io
 import json
 import logging
 import shlex
@@ -44,7 +45,7 @@ from typing import Callable
 
 from . import harness as hn
 from . import minimize as mz
-from .diagnostics import CutoffSpec, asymmetry_index, concentration_report
+from .diagnostics import asymmetry_index
 from .errors import HenonAnnulusError, NonConvergenceError
 from .geometry import ProblemParams, build_axi_grid, build_radial_grid
 from .mountain_pass import mountain_pass, path_crossing, straight_path
@@ -60,7 +61,8 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 # handler passes on only what the arguments set.
 _OPTIONS = {
     "out": {"help": "write the result here instead of stdout"},
-    "format": {"choices": ("json", "csv"), "help": "output format (default json)"},
+    "format": {"choices": ("json", "csv"),
+               "help": "json records (default) or one csv row per level"},
     "log_level": {"type": str.upper, "choices": LOG_LEVELS,
                   "help": "log to stderr from this level (default WARNING; DEBUG shows "
                           "the descent's teleports and the pass's sweeps)"},
@@ -74,7 +76,6 @@ _OPTIONS = {
     "ctol": {"type": float, "help": "balanced-set constraint tolerance"},
     "eps": {"type": float, "help": "instanton concentration parameter"},
     "delta": {"type": float, "help": "boundary cutoff width for the concentration report"},
-    "seed": {"type": int, "help": "seed recorded with sweep results"},
     "segments": {"type": int, "help": f"path segments (default {hn.PATH_SEGMENTS})"},
     "maxit": {"type": int, "help": "sweep budget"},
     "axis": {"choices": ("alpha", "p"), "help": "parameter that varies"},
@@ -85,7 +86,7 @@ _OPTIONS = {
     "force": {"action": "store_true", "help": "fit despite non-converged records"},
 }
 
-_IO = ("out", "format", "log_level")
+_IO = ("out", "log_level")
 # Only the radial level is posed for general N; the axisymmetric grid is 3-D.
 _POINT = ("alpha", "p", "nr", "tol", "snapshot")
 _RADIAL_POINT = _POINT + ("dim",)
@@ -123,14 +124,9 @@ def _split(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _emit(payload: dict, args: argparse.Namespace, csv_rows: list[list[str]]) -> None:
-    """JSON object by default; csv_rows (header + rows) when --format csv."""
-    if _or(args.format, "json") == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer).writerows(csv_rows)
-        text = buffer.getvalue()
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    """The payload as one JSON object, to --out or stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -138,17 +134,12 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows: list[list[str]]) ->
             sink.write(text)
 
 
-def _finish(payload: dict, args: argparse.Namespace, field, row: tuple) -> int:
+def _finish(payload: dict, args: argparse.Namespace, field) -> int:
     """Snapshot the field if asked, emit the payload, map convergence to a code."""
     if args.snapshot is not None:
         hn.write_snapshot(field, args.snapshot)
-    _emit(payload, args, hn.level_rows([row]))
+    _emit(payload, args)
     return EXIT_OK if payload["converged"] else EXIT_NONCONVERGED
-
-
-def _solve_row(result: mz.SolveResult) -> tuple:
-    return (result.params.alpha, result.params.p, result.report.level_tag,
-            result.report.quotient, result.converged, result.report.grid)
 
 
 def _point_params(args: argparse.Namespace, *extras: str) -> ProblemParams:
@@ -190,7 +181,7 @@ def _solve(help: str, axi: bool, solver: Callable, *extras: str) -> _Command:
         result = solver(params, grid, **_given(args, "tol", *extras))
         payload = result.to_json_dict()
         payload["elapsed"] = time.perf_counter() - started
-        return _finish(payload, args, result.field, _solve_row(result))
+        return _finish(payload, args, result.field)
 
     return _Command(help, handler, _IO + (_AXI_POINT if axi else _RADIAL_POINT) + extras)
 
@@ -224,8 +215,7 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> int:
         "grid": grid.descriptor,
         "elapsed": elapsed,
     }
-    row = (params.alpha, params.p, "beta", result.beta, result.converged, grid.descriptor)
-    return _finish(payload, args, result.w, row)
+    return _finish(payload, args, result.w)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -236,7 +226,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if fixed is None:
         raise ValueError(f"sweep over {args.axis} requires the fixed value --{fixed_name}")
     options = _given(args, "dim", "n_radial", "nr", "ntheta", "tol", "ctol", "eps",
-                     "delta", "seed")
+                     "delta")
     if args.levels is not None:
         options["levels"] = _split(args.levels)
     spec = hn.SweepSpec(
@@ -264,25 +254,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_NONCONVERGED
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> int:
-    params = _point_params(args)
-    grid = _axi_grid(args)
-    cutoff = CutoffSpec(**_given(args, "delta"))
-    started = time.perf_counter()
-    result = mz.solve_ground(params, grid, **_given(args, "tol"))
-    report = concentration_report(result.field, params.alpha, params.p, cutoff)
-    payload = {
-        "params": {"dim": params.dim, "alpha": params.alpha, "p": params.p},
-        "level": result.report.quotient,
-        "level_tag": result.report.level_tag,
-        "converged": result.converged,
-        "grid": result.report.grid,
-        "concentration": report.to_dict(),
-        "elapsed": time.perf_counter() - started,
-    }
-    return _finish(payload, args, result.field, _solve_row(result))
-
-
 def _cmd_fit(args: argparse.Namespace) -> int:
     records = hn.load_records(args.records)
     level = _or(args.level, "S_rad")
@@ -293,11 +264,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "r_squared": r_squared,
         "records": len(records),
     }
-    rows = [
-        ["level", "slope", "r_squared", "records"],
-        [level, f"{slope:.17g}", f"{r_squared:.17g}", str(len(records))],
-    ]
-    _emit(payload, args, rows)
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -314,12 +281,8 @@ _COMMANDS = {
     ),
     "sweep": _Command(
         "solve a family of parameter points", _cmd_sweep,
-        _IO + ("alpha", "p", "dim", "nr", "ntheta", "tol", "ctol", "eps", "delta", "seed",
+        _IO + ("format", "alpha", "p", "dim", "nr", "ntheta", "tol", "ctol", "eps", "delta",
                "axis", "values", "levels", "n_radial"),
-    ),
-    "diagnose": _Command(
-        "concentration report for the ground state", _cmd_diagnose,
-        _IO + _AXI_POINT + ("delta",),
     ),
     "fit": _Command(
         "log-log slope of a level against alpha", _cmd_fit, _IO + ("level", "force")

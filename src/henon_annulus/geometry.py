@@ -72,7 +72,7 @@ class ProblemParams:
             raise ConfigurationError(
                 f"alpha must lie in [0, {ALPHA_CAP:g}] (documented cap), got {self.alpha!r}"
             )
-        if self.p < 2.0:
+        if not self.p >= 2.0:  # NaN included
             raise ConfigurationError(f"p must be >= 2, got {self.p!r}")
         if self.p == 2.0 and not self.validation_mode:
             raise ConfigurationError("p = 2 is allowed only with validation_mode=True")

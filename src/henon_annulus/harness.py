@@ -71,7 +71,6 @@ class SweepSpec:
     ctol: float = mz.DEFAULT_CTOL
     eps: float = BUBBLE_EPS
     delta: float = DEFAULT_DELTA
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.axis not in ("alpha", "p"):
@@ -95,7 +94,8 @@ class SweepSpec:
             raise ConfigurationError(
                 f"levels S, T and beta are posed on the 3-D annulus, not dim {self.dim}"
             )
-        mz.check_ctol(self.ctol)
+        mz.check_tolerance("tol", self.tol)
+        mz.check_tolerance("ctol", self.ctol)
         InstantonParams(self.eps, 0)
         CutoffSpec(self.delta)
 
@@ -112,7 +112,6 @@ class ResultRecord:
     alpha: float
     p: float
     dim: int
-    seed: int
     levels: dict = field(default_factory=dict)
     concentration: dict | None = None
     timings: dict = field(default_factory=dict)
@@ -126,7 +125,6 @@ class ResultRecord:
             alpha=float(data["alpha"]),
             p=float(data["p"]),
             dim=int(data["dim"]),
-            seed=int(data["seed"]),
             levels=data["levels"],
             concentration=data.get("concentration"),
             timings=data.get("timings", {}),
@@ -231,7 +229,6 @@ def _solve_point(
         alpha=params.alpha,
         p=params.p,
         dim=params.dim,
-        seed=spec.seed,
         levels=levels,
         concentration=concentration,
         timings=timings,
@@ -308,7 +305,9 @@ def fit_exponent(
 ) -> tuple[float, float]:
     """Slope and r-squared of log(level) against log(alpha).
 
-    Needs records at three or more distinct alpha (a p sweep has one).
+    Needs records at three or more distinct alpha (a p sweep has one), all
+    of one sweep: the same p and dim, and the level computed on one grid
+    (records are appended to one file, so two sweeps can share it).
     Refuses sweeps containing non-converged or failed entries for the
     chosen level unless force=True; a fit over unreliable points would
     silently corrupt the scaling-exponent claims downstream.
@@ -317,7 +316,10 @@ def fit_exponent(
         raise ConfigurationError(f"unknown level {level!r}")
     if len({record.alpha for record in records}) < 3:
         raise ConfigurationError("exponent fit needs records at 3 or more distinct alpha")
-    xs, ys = [], []
+    sweeps = {(record.p, record.dim) for record in records}
+    if len(sweeps) > 1:
+        raise ConfigurationError(f"records mix sweeps: (p, dim) = {sorted(sweeps)}")
+    xs, ys, grids = [], [], set()
     for record in records:
         entry = record.levels.get(level)
         if entry is None:
@@ -336,6 +338,9 @@ def fit_exponent(
             )
         xs.append(math.log(record.alpha))
         ys.append(math.log(value))
+        grids.add(entry.get("grid"))
+    if len(grids) > 1:
+        raise ConfigurationError(f"{level} entries mix grids: {sorted(grids, key=str)}")
     xs_arr, ys_arr = np.array(xs), np.array(ys)
     slope, intercept = np.polyfit(xs_arr, ys_arr, 1)
     predicted = slope * xs_arr + intercept
@@ -390,36 +395,28 @@ def chain_check(record: ResultRecord, *, tol: float = CHAIN_TOL) -> dict[str, st
     return report
 
 
-def level_rows(levels) -> list[list[str]]:
-    """Header and one row per (alpha, p, tag, value, converged, grid) level.
-
-    A failed level has value None and an empty value cell.
-    """
-    rows = [["alpha", "p", "level_tag", "value", "converged", "grid"]]
-    for alpha, p, tag, value, converged, grid in levels:
-        rows.append([
-            f"{alpha:.17g}",
-            f"{p:.17g}",
-            tag,
-            "" if value is None else f"{value:.17g}",
-            str(bool(converged)).lower(),
-            grid,
-        ])
-    return rows
-
-
 def write_levels_csv(records: list[ResultRecord], path) -> None:
     """Flat one-row-per-level summary for plotting.
 
-    ``path`` is a filename or any open text stream (the CLI passes stdout).
+    One row per (alpha, p, level_tag, value, converged, grid), levels in
+    LEVEL_CHOICES order; a failed level has an empty value cell. ``path``
+    is a filename or any open text stream (the CLI passes stdout).
     """
-    rows = level_rows(
-        (record.alpha, record.p, tag, entry.get("value"),
-         entry.get("converged", False), entry.get("grid", ""))
-        for record in records
-        for tag in LEVEL_CHOICES
-        if (entry := record.levels.get(tag)) is not None
-    )
+    rows = [["alpha", "p", "level_tag", "value", "converged", "grid"]]
+    for record in records:
+        for tag in LEVEL_CHOICES:
+            entry = record.levels.get(tag)
+            if entry is None:
+                continue
+            value = entry.get("value")
+            rows.append([
+                f"{record.alpha:.17g}",
+                f"{record.p:.17g}",
+                tag,
+                "" if value is None else f"{value:.17g}",
+                str(bool(entry.get("converged", False))).lower(),
+                entry.get("grid", ""),
+            ])
     if hasattr(path, "write"):
         csv.writer(path).writerows(rows)
         return

@@ -431,7 +431,8 @@ def _descend(
 
     The descent stops once the gradient is below GRADIENT_FACTOR times the
     quotient and the last step lowered the quotient by at most tol
-    relative, or when no step lowers it, or after MAX_ITERATIONS steps.
+    relative, or when no step lowers it, or after MAX_ITERATIONS steps;
+    tol must be finite and positive.
 
     Once a step lowers the quotient by at most POLISH_TRIGGER relative, an
     iteration teleports instead: `_teleport`'s descent-only Newton
@@ -452,6 +453,7 @@ def _descend(
     polishes and certifies the projected minimizer itself, so the
     closing `_certificate` (plain stiffness) matters only without project.
     """
+    check_tolerance("tol", tol)
     a = fn.stiffness_matrix(grid)
     solve = fn.stiffness_solver(grid)
     free = fn.free_slice(grid)
@@ -746,10 +748,10 @@ def _rebalance(u: DiscreteField, alpha: float, p: float) -> DiscreteField | None
     return _clamped_normalized(grid, u.values, alpha, p)
 
 
-def check_ctol(ctol: float) -> None:
-    """Refuse a balance tolerance that is not finite and positive."""
-    if not (math.isfinite(ctol) and ctol > 0.0):
-        raise ConfigurationError(f"ctol must be finite and positive, got {ctol}")
+def check_tolerance(name: str, value: float) -> None:
+    """Refuse a tolerance that is not finite and positive (NaN included)."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
 def solve_sigma(
@@ -773,7 +775,7 @@ def solve_sigma(
     and positive.
     """
     _check_grid(params, grid, AxiGrid)
-    check_ctol(ctol)
+    check_tolerance("ctol", ctol)
     alpha, p = params.alpha, params.p
 
     state = _descend(grid, alpha, p, _two_bump_init(grid), tol=tol, project=True)

@@ -45,7 +45,7 @@ from .errors import (
     DegenerateFieldError,
 )
 from .geometry import DiscreteField, ProblemParams
-from .minimize import newton
+from .minimize import check_tolerance, newton
 
 log = logging.getLogger(__name__)
 
@@ -221,15 +221,16 @@ def mountain_pass(
     """Deform the interior path nodes downhill until the pass is critical.
 
     Stops when the argmax node's scaled residual (the same quantity
-    residual_pde reports for the rescaled field) is at most tol; exceeding
-    maxit returns the best path so far with converged False. Each sweep
-    is logged at DEBUG: its number, the argmax node and every node's
-    quotient.
+    residual_pde reports for the rescaled field) is at most tol, which must
+    be finite and positive; exceeding maxit returns the best path so far
+    with converged False. Each sweep is logged at DEBUG: its number, the
+    argmax node and every node's quotient.
     """
     if (params.alpha, params.p) != (path.alpha, path.p):
         raise ConfigurationError("path was built for different (alpha, p)")
     if len(path.nodes) - 1 < MIN_SEGMENTS:
         raise ConfigurationError(f"path needs at least {MIN_SEGMENTS} segments")
+    check_tolerance("tol", tol)
     alpha, p = path.alpha, path.p
     grid = path.nodes[0].grid
     matrix = fn.stiffness_matrix(grid)

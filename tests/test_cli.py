@@ -62,7 +62,6 @@ def _unconverged_records(path):
                 "alpha": alpha,
                 "p": 4.0,
                 "dim": 3,
-                "seed": 0,
                 "levels": {"S_rad": {"value": 5.0 * alpha, "converged": alpha != 4.0}},
                 "concentration": None,
                 "timings": {},
@@ -78,7 +77,7 @@ def _option_values(tmp_path) -> dict:
         "out": str(tmp_path / "out"), "format": "json",
         "log_level": "warning", "alpha": "1", "p": "4", "dim": "3", "nr": "48",
         "ntheta": "16", "tol": "1e-10", "snapshot": str(tmp_path / "snap.csv"),
-        "ctol": "1e-4", "eps": "1e-3", "delta": "0.25", "seed": "0",
+        "ctol": "1e-4", "eps": "1e-3", "delta": "0.25",
         "segments": "9", "maxit": "1",
         "axis": "alpha", "values": "2,4", "levels": "S_rad", "n_radial": "100",
         "level": "S_rad",
@@ -186,19 +185,11 @@ class TestSolveCommands:
         assert len(lines) == 4 + 49 * 17
 
     def test_csv_format(self, tmp_path):
+        # one result is one JSON object; only a sweep has a table to print
         out = tmp_path / "out.csv"
-        rc = main(
-            [
-                "solve-radial", "--alpha", "1", "--p", "4", "--nr", "100",
-                "--format", "csv", "--out", str(out),
-            ]
-        )
-        assert rc == EXIT_OK
-        rows = list(csv.reader(out.read_text().splitlines()))
-        assert rows[0] == ["alpha", "p", "level_tag", "value", "converged", "grid"]
-        assert rows[1][2] == "S_rad"
-        assert rows[1][4] == "true"
-        assert float(rows[1][3]) > 0.0
+        argv = ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100"]
+        assert _exit_code([*argv, "--format", "csv", "--out", str(out)]) == EXIT_INVALID
+        assert not out.exists()
 
 
 class TestMountainPass:
@@ -265,6 +256,15 @@ class TestSweepAndFit:
         assert payload["level"] == "S_rad"
         assert math.isfinite(payload["slope"])
         assert 0.0 <= payload["r_squared"] <= 1.0
+
+    def test_fit_refuses_mixed_sweeps(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        for p, n in (("4", "100"), ("3", "200")):
+            argv = ["sweep", "--axis", "alpha", "--values", "2,4,8", "--p", p,
+                    "--n-radial", n, "--out", str(records)]
+            assert main(argv) == EXIT_OK
+        assert main(["fit", str(records)]) == EXIT_INVALID
+        assert "mix" in capsys.readouterr().err
 
     def test_fit_refuses_unconverged_without_force(self, tmp_path):
         records = _unconverged_records(tmp_path / "records.jsonl")
@@ -402,9 +402,27 @@ class TestExitCodes:
     def test_supercritical_p(self):
         assert main(["solve-radial", "--alpha", "1", "--p", "7"]) == EXIT_INVALID
 
+    def test_nan_p_names_p(self, capsys):
+        assert main(["solve-radial", "--alpha", "1", "--p", "nan"]) == EXIT_INVALID
+        assert "p must be >= 2" in capsys.readouterr().err
+
     def test_nonpositive_ctol(self):
         argv = ["solve-sigma", "--alpha", "1", "--p", "4", *SMALL_AXI, "--ctol", "0"]
         assert main(argv) == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--tol", "-1"],
+            ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--tol", "nan"],
+            ["mountain-pass", "--alpha", "1", "--p", "4", *SMALL_AXI, "--tol", "nan"],
+        ],
+        ids=["radial-negative", "radial-nan", "pass-nan"],
+    )
+    def test_malformed_tol_exits_invalid(self, argv, capsys):
+        # refused before any descent or sweep, not run to its budget
+        assert main(argv) == EXIT_INVALID
+        assert "tol must be finite and positive" in capsys.readouterr().err
 
     def test_descending_sweep_values(self):
         rc = main(["sweep", "--axis", "alpha", "--values", "8,4,2", "--p", "4"])
@@ -426,19 +444,19 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "line",
         [
-            json.dumps({"alpha": 2.0, "p": 4.0, "dim": 3, "levels": {}}),
+            json.dumps({"p": 4.0, "dim": 3, "levels": {}}),
             "[1, 2]",
-            json.dumps({"alpha": 2.0, "p": 4.0, "dim": 3, "seed": 0, "levels": {"S_rad": []}}),
-            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3, "seed": 0,
+            json.dumps({"alpha": 2.0, "p": 4.0, "dim": 3, "levels": {"S_rad": []}}),
+            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3,
                         "levels": {"S_rad": {"value": "x", "converged": True}}}),
-            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3, "seed": 0,
+            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3,
                         "levels": {"S_rad": {"value": 80.0, "converged": "yes"}}}),
-            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3, "seed": 0,
+            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3,
                         "levels": {"S_rad": {"value": math.nan, "converged": True}}}),
-            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3, "seed": 0,
+            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3,
                         "levels": {"S_rad": {"value": math.inf, "converged": True}}}),
         ],
-        ids=["no-seed", "not-an-object", "level-not-an-object", "value-not-a-number",
+        ids=["no-alpha", "not-an-object", "level-not-an-object", "value-not-a-number",
              "converged-not-a-bool", "value-nan", "value-infinity"],
     )
     def test_malformed_records_exit_invalid(self, tmp_path, capsys, line):
@@ -454,8 +472,9 @@ class TestExitCodes:
             ["--axis", "p", "--values", "4,7", "--alpha", "1", "--levels", "S_rad"],
             ["--axis", "alpha", "--values", "1,2", "--p", "3", "--dim", "4", "--levels", "S",
              *SMALL_AXI],
+            ["--axis", "alpha", "--values", "1,2", "--p", "4", "--tol", "nan"],
         ],
-        ids=["supercritical-point", "axisymmetric-dim-4"],
+        ids=["supercritical-point", "axisymmetric-dim-4", "nan-tol"],
     )
     def test_bad_sweep_refused_before_any_solve(self, tmp_path, monkeypatch, argv):
         solved = []
@@ -474,25 +493,31 @@ class TestExitCodes:
 
 class TestOptionSurface:
     EXPECTED_COUNTS = {
-        "solve-radial": 9,
-        "solve-ground": 9,
-        "solve-sigma": 10,
-        "solve-lambda": 10,
-        "mountain-pass": 12,
-        "sweep": 17,
-        "diagnose": 10,
-        "fit": 5,
+        "solve-radial": 8,
+        "solve-ground": 8,
+        "solve-sigma": 9,
+        "solve-lambda": 9,
+        "mountain-pass": 11,
+        "sweep": 16,
+        "fit": 4,
     }
 
     def test_option_counts(self):
-        counts = {
-            name: len(dests - {"records"}) for name, dests in _command_dests().items()
-        }
+        dests = _command_dests()
+        counts = {name: len(options - {"records"}) for name, options in dests.items()}
         assert counts == self.EXPECTED_COUNTS
-        assert sum(counts.values()) == 82
-        assert {name for name, dests in _command_dests().items() if "dim" in dests} == {
+        assert sum(counts.values()) == 65
+        assert {name for name, options in dests.items() if "dim" in options} == {
             "solve-radial", "sweep"
         }
+        assert {name for name, options in dests.items() if "format" in options} == {"sweep"}
+        assert not any("seed" in options for options in dests.values())
+
+    def test_diagnose_is_an_unknown_command(self, capsys):
+        # a one-point `sweep --levels S` records S and its concentration report
+        argv = ["diagnose", "--alpha", "4", "--p", "4", *SMALL_AXI]
+        assert _exit_code(argv) == EXIT_INVALID
+        assert "diagnose" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -504,6 +529,8 @@ class TestOptionSurface:
             ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100", "--seed", "7"],
             ["mountain-pass", "--alpha", "1", "--p", "4", *SMALL_AXI, "--ctol", "-1"],
             ["mountain-pass", "--alpha", "1", "--p", "4", *SMALL_AXI, "--seed", "7"],
+            ["sweep", "--axis", "alpha", "--values", "2,4", "--p", "4", "--seed", "7"],
+            ["fit", "records.jsonl", "--format", "csv"],
             ["sweep", "--axis", "alpha", "--values", "2,4", "--p", "4", "--snapshot", "f.csv"],
             ["fit", "records.jsonl", "--alpha", "1"],
             ["solve-ground", "--alpha", "1", "--p", "4", *SMALL_AXI, "--dim", "3"],

@@ -41,6 +41,9 @@ class TestProblemParams:
             ProblemParams(1.0, 5.96)  # above 2* - margin for N = 3
         with pytest.raises(ConfigurationError):
             ProblemParams(1.0, 6.0)
+        for nan_params in ({}, {"validation_mode": True}):
+            with pytest.raises(ConfigurationError, match="p must be >= 2"):
+                ProblemParams(1.0, math.nan, **nan_params)
 
     def test_dim_window(self):
         with pytest.raises(ConfigurationError):

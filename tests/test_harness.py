@@ -11,14 +11,19 @@ from henon_annulus import minimize
 from henon_annulus import (
     ConfigurationError,
     ContractViolationError,
+    CutoffSpec,
     DiscreteField,
     DomainError,
+    ProblemParams,
     ResultRecord,
     SweepSpec,
+    build_axi_grid,
     chain_check,
+    concentration_report,
     fit_exponent,
     load_records,
     run_sweep,
+    solve_ground,
     write_levels_csv,
     write_snapshot,
 )
@@ -27,7 +32,7 @@ from henon_annulus.mountain_pass import PASS_TOL
 
 
 def _record(alpha, levels):
-    return ResultRecord(alpha=alpha, p=4.0, dim=3, seed=0, levels=levels)
+    return ResultRecord(alpha=alpha, p=4.0, dim=3, levels=levels)
 
 
 def _entry(value, converged=True, **extra):
@@ -68,6 +73,10 @@ class TestSweepSpec:
     @pytest.mark.parametrize(
         "name,value,error",
         [
+            ("tol", 0.0, ConfigurationError),
+            ("tol", -1.0, ConfigurationError),
+            ("tol", math.nan, ConfigurationError),
+            ("tol", math.inf, ConfigurationError),
             ("ctol", 0.0, ConfigurationError),
             ("ctol", -1e-4, ConfigurationError),
             ("ctol", math.nan, ConfigurationError),
@@ -123,6 +132,15 @@ class TestRunSweep:
         ]
         append_records(records[:1], str(path))
         assert len(load_records(str(path))) == 4
+
+    def test_loads_records_that_carry_a_seed(self, radial_sweep, tmp_path):
+        # records written before the inert seed field went still load
+        _, records = radial_sweep
+        data = records[0].to_json_dict()
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps({**data, "seed": 0}) + "\n")
+        (loaded,) = load_records(str(path))
+        assert loaded.to_json_dict() == data
 
     def test_out_path_written_by_sweep(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
@@ -183,8 +201,13 @@ class TestRunSweep:
         )
         (record,) = run_sweep(spec)
         assert record.levels["S"]["converged"]
-        assert record.concentration is not None
         assert {"lambda", "xi", "barycenter"} <= set(record.concentration)
+        # the record is the ground solve and its report on the same grid
+        ground = solve_ground(ProblemParams(1.0, 4.0), build_axi_grid(48, 16, "graded-polar"))
+        assert record.levels["S"]["value"] == ground.report.quotient
+        assert record.concentration == concentration_report(
+            ground.field, 1.0, 4.0, CutoffSpec(spec.delta)
+        ).to_dict()
 
     def test_beta_records_the_pass_tolerance(self):
         # the pass runs at mountain_pass's own tolerance, not the descent's
@@ -226,10 +249,26 @@ class TestFitExponent:
     def test_refuses_a_p_sweep(self):
         # every record at alpha = 1: there is no log-log line to fit
         records = [
-            ResultRecord(alpha=1.0, p=p, dim=3, seed=0, levels={"S_rad": _entry(10.0 * p)})
+            ResultRecord(alpha=1.0, p=p, dim=3, levels={"S_rad": _entry(10.0 * p)})
             for p in (3.0, 4.0, 5.0)
         ]
         with pytest.raises(ConfigurationError, match="distinct alpha"):
+            fit_exponent(records, "S_rad")
+
+    @pytest.mark.parametrize(
+        "field, other",
+        [("p", 3.0), ("dim", 4), ("grid", "radial(n=200,graded)")],
+    )
+    def test_refuses_mixed_sweeps(self, field, other):
+        # two sweeps appended to one file: each is fine alone, not together
+        records = [_record(a, {"S_rad": _entry(3.7 * a)}) for a in (2.0, 4.0, 8.0, 16.0)]
+        fit_exponent(records, "S_rad")
+        last = records[-1]
+        if field == "grid":
+            records[-1] = _record(last.alpha, {"S_rad": _entry(3.7 * last.alpha, grid=other)})
+        else:
+            records[-1] = ResultRecord(**{**last.to_json_dict(), field: other})
+        with pytest.raises(ConfigurationError, match="mix"):
             fit_exponent(records, "S_rad")
 
     def test_unknown_level(self):
