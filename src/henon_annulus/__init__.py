@@ -30,8 +30,6 @@ from .errors import (
     ConfigurationError,
     ContractViolationError,
     DegenerateFieldError,
-    DomainError,
-    GridCompatibilityError,
     HenonAnnulusError,
     NonConvergenceError,
 )
@@ -96,8 +94,6 @@ __all__ = [
     "CutoffSpec",
     "DegenerateFieldError",
     "DiscreteField",
-    "DomainError",
-    "GridCompatibilityError",
     "HenonAnnulusError",
     "InstantonParams",
     "MpassResult",

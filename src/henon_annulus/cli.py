@@ -7,7 +7,8 @@ one row per (alpha, p, level) instead; no other command has a table to
 print. The exit code tells the outcome:
 
     0   success (all requested solves converged)
-    2   a solve finished without meeting its convergence contract
+    2   a solve finished without meeting its convergence contract (a
+        sweep exits 2 when any level did not converge, beta included)
     3   the request itself was invalid (bad flag, bad grid, bad spec file)
 
 Each subcommand accepts only the options its handler reads, and an option
@@ -145,11 +146,7 @@ def _finish(payload: dict, args: argparse.Namespace, field) -> int:
 def _point_params(args: argparse.Namespace, *extras: str) -> ProblemParams:
     if args.alpha is None or args.p is None:
         raise ValueError("--alpha and --p are required for this command")
-    # p = 2 has no variational content (linear eigenvalue); permitted on the
-    # command line purely as the closed-form validation case.
-    return ProblemParams(
-        args.alpha, args.p, **_given(args, *extras), validation_mode=(args.p == 2.0)
-    )
+    return ProblemParams(args.alpha, args.p, **_given(args, *extras))
 
 
 def _axi_grid(args: argparse.Namespace):
@@ -247,9 +244,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sys.stdout.write(text + "\n")
 
     ok = all(
-        entry.get("value") is not None and (entry.get("converged") or tag == "beta")
+        entry.get("value") is not None and entry.get("converged")
         for record in records
-        for tag, entry in record.levels.items()
+        for entry in record.levels.values()
     )
     return EXIT_OK if ok else EXIT_NONCONVERGED
 
@@ -333,11 +330,6 @@ def main(argv=None) -> int:
     except (HenonAnnulusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-
-
-def entry() -> int:
-    """Console-script hook: exit status is the return value of main."""
-    return main()
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as fn
-from .errors import DegenerateFieldError, DomainError, GridCompatibilityError
+from .errors import ConfigurationError, DegenerateFieldError
 from .geometry import AxiGrid, DiscreteField, RadialGrid, surface_measure
 from .profiles import CutoffSpec, phi_cutoff_decompose
 
@@ -103,7 +103,7 @@ def asymmetry_index(u: DiscreteField) -> float:
     only then, and both are at most 1. Scale-invariant by construction.
     """
     if not isinstance(u.grid, AxiGrid):
-        raise GridCompatibilityError("the asymmetry index is defined for axisymmetric fields")
+        raise ConfigurationError("the asymmetry index is defined for axisymmetric fields")
     if u.is_zero:
         raise DegenerateFieldError("asymmetry index of the zero field")
     total = fn.dirichlet_energy(u)
@@ -121,7 +121,7 @@ def concentration_report(
 ) -> ConcentrationReport:
     """Split u at the midline, then report where mass and energy sit."""
     if not isinstance(u.grid, AxiGrid):
-        raise GridCompatibilityError("the concentration report needs an axisymmetric field")
+        raise ConfigurationError("the concentration report needs an axisymmetric field")
     if u.is_zero:
         raise DegenerateFieldError("concentration report of the zero field")
     inner, outer = phi_cutoff_decompose(u, spec)
@@ -175,12 +175,12 @@ def hardy_margin(v: DiscreteField, p: float) -> float:
     return is a certificate up to roundoff.
     """
     if not isinstance(v.grid, RadialGrid):
-        raise GridCompatibilityError("the Hardy margin is defined for radial fields")
+        raise ConfigurationError("the Hardy margin is defined for radial fields")
     if p < 2.0:
-        raise DomainError(f"Hardy margin needs p >= 2, got {p}")
+        raise ConfigurationError(f"Hardy margin needs p >= 2, got {p}")
     vals = v.values
     if vals[0] != 0.0 or vals[-1] != 0.0:
-        raise DomainError("Hardy margin needs zero boundary values")
+        raise ConfigurationError("Hardy margin needs zero boundary values")
     nodes = v.grid.nodes
     h = np.diff(nodes)
     mid = 0.5 * (nodes[:-1] + nodes[1:])
@@ -204,9 +204,9 @@ def balance_f(x: float, p: float) -> float:
     balanced split costs the most.
     """
     if x <= 0.0:
-        raise DomainError(f"balance_f needs x > 0, got {x}")
+        raise ConfigurationError(f"balance_f needs x > 0, got {x}")
     if p <= 2.0:
-        raise DomainError(f"balance_f needs p > 2, got {p}")
+        raise ConfigurationError(f"balance_f needs p > 2, got {p}")
     e = 2.0 / p
     return (1.0 + x**e) / (1.0 + x) ** e
 
@@ -254,10 +254,10 @@ def sobolev_constant(n_dim: int, *, radius: float = 1e3, theta: float = 1.0) -> 
     doubling the quadrature radius.
     """
     if int(n_dim) != n_dim or n_dim < 3:
-        raise DomainError(f"need an integer dimension >= 3, got {n_dim}")
+        raise ConfigurationError(f"need an integer dimension >= 3, got {n_dim}")
     n_dim = int(n_dim)
     if radius <= theta:
-        raise DomainError("quadrature radius must exceed the profile scale")
+        raise ConfigurationError("quadrature radius must exceed the profile scale")
     omega = surface_measure(n_dim)
     energy_main, mass_main = _profile_quadrature(n_dim, radius, theta)
     energy_tail, mass_tail = _profile_tail(n_dim, radius, theta)

@@ -6,15 +6,8 @@ class HenonAnnulusError(Exception):
 
 
 class ConfigurationError(HenonAnnulusError):
-    """Invalid configuration: grid sizes, parameter ranges, malformed sweep specs."""
-
-
-class DomainError(HenonAnnulusError):
-    """Evaluation outside the admissible domain of an operation."""
-
-
-class GridCompatibilityError(HenonAnnulusError):
-    """Two objects live on grids that do not match."""
+    """Invalid input: grid sizes, parameter ranges, malformed sweep specs,
+    a point outside an operation's domain, or a field on the wrong grid."""
 
 
 class DegenerateFieldError(HenonAnnulusError):

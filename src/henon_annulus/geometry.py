@@ -17,11 +17,11 @@ theta = 0 and theta = pi are natural (no-flux) boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, GridCompatibilityError
+from .errors import ConfigurationError
 
 INNER_RADIUS = 1.0
 OUTER_RADIUS = 3.0
@@ -55,15 +55,14 @@ class ProblemParams:
 
     alpha >= 0 is the weight exponent of psi(x) = | |x| - 2 |^alpha, p the
     integrability exponent with 2 <= p <= 2* - margin where 2* = 2N/(N-2).
-    p = 2 turns the problem into a linear eigenvalue problem and is allowed
-    only with validation_mode=True (used to pin the solver against the exact
-    first eigenvalue).
+    p = 2 turns the problem into a linear eigenvalue problem, which pins
+    the solver against the exact first eigenvalue; every step that needs
+    p > 2 is skipped there.
     """
 
     alpha: float
     p: float
     dim: int = 3
-    validation_mode: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, int) or self.dim < 3:
@@ -74,8 +73,6 @@ class ProblemParams:
             )
         if not self.p >= 2.0:  # NaN included
             raise ConfigurationError(f"p must be >= 2, got {self.p!r}")
-        if self.p == 2.0 and not self.validation_mode:
-            raise ConfigurationError("p = 2 is allowed only with validation_mode=True")
         if self.p > self.two_star - P_MARGIN:
             raise ConfigurationError(
                 f"p must be <= 2N/(N-2) - {P_MARGIN} = {self.two_star - P_MARGIN:g}, "
@@ -263,27 +260,27 @@ def build_axi_grid(
 ) -> AxiGrid:
     """Axisymmetric tensor grid with nr radial and ntheta angular cells.
 
-    grading="uniform": both directions uniform. grading="graded": radial
-    direction clustered near r in {1, 2, 3}, theta uniform. For states that
+    Two variants. grading="uniform": both directions uniform.
+    grading="graded-polar": radial nodes clustered near r in {1, 2, 3} and
+    theta nodes at both poles by `theta_factor`, since for states that
     concentrate at a point of the boundary the angular resolution is the
-    binding constraint, so grading="graded-polar" additionally clusters
-    theta nodes at both poles by `theta_factor`.
+    binding constraint.
     """
-    if grading not in ("uniform", "graded", "graded-polar"):
+    if grading not in ("uniform", "graded-polar"):
         raise ConfigurationError(f"unknown axi grading {grading!r}")
     radial = build_radial_grid(nr, "uniform" if grading == "uniform" else "graded")
     if not isinstance(ntheta, int) or ntheta < MIN_THETA_CELLS:
         raise ConfigurationError(
             f"ntheta must be an integer >= {MIN_THETA_CELLS}, got {ntheta!r}"
         )
-    if grading == "graded-polar":
+    if grading == "uniform":
+        theta = np.linspace(0.0, math.pi, ntheta + 1)
+        label = "uniform"
+    else:
         theta = math.pi * _two_sided_stretch(ntheta, theta_factor)
         theta[0] = 0.0
         theta[-1] = math.pi
         label = f"graded(r{RADIAL_GRADING:g},t{theta_factor:g})"
-    else:
-        theta = np.linspace(0.0, math.pi, ntheta + 1)
-        label = "uniform" if grading == "uniform" else f"graded(r{RADIAL_GRADING:g})"
     return AxiGrid(r_nodes=radial.nodes, theta_nodes=theta, grading=label)
 
 
@@ -302,7 +299,7 @@ class DiscreteField:
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float).ravel()
         if values.shape != (self.grid.n_nodes,):
-            raise GridCompatibilityError(
+            raise ConfigurationError(
                 f"field has {values.size} coefficients, grid has {self.grid.n_nodes} nodes"
             )
         if not np.all(np.isfinite(values)):
@@ -341,7 +338,7 @@ class DiscreteField:
     @property
     def values_2d(self) -> np.ndarray:
         if not isinstance(self.grid, AxiGrid):
-            raise GridCompatibilityError("values_2d is defined for axisymmetric fields")
+            raise ConfigurationError("values_2d is defined for axisymmetric fields")
         return self.values.reshape(self.grid.shape)
 
 
@@ -353,11 +350,11 @@ def embed_radial(v: DiscreteField, grid: AxiGrid) -> DiscreteField:
     and hence the Rayleigh quotient up to quadrature roundoff.
     """
     if not isinstance(v.grid, RadialGrid):
-        raise GridCompatibilityError("embed_radial expects a radial field")
+        raise ConfigurationError("embed_radial expects a radial field")
     if not isinstance(grid, AxiGrid):
-        raise GridCompatibilityError("embed_radial expects an axisymmetric target grid")
+        raise ConfigurationError("embed_radial expects an axisymmetric target grid")
     if not np.array_equal(v.grid.nodes, grid.r_nodes):
-        raise GridCompatibilityError(
+        raise ConfigurationError(
             "radial nodes of the target grid do not match the field's grid"
         )
     tiled = np.repeat(v.values, grid.nt + 1)

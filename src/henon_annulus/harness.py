@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import functional as fn
 from . import minimize as mz
 from . import mountain_pass as mp
 from .diagnostics import concentration_report

@@ -105,7 +105,9 @@ class SolveStats:
     increases count the raises of its mu. Linear solves count the Newton
     systems solved by MINRES, Krylov iterations their iterations summed,
     and Krylov capped the solves that stopped at KRYLOV_MAX (stiffness
-    solves are direct and not counted).
+    solves are direct and not counted). The mountain pass reports its
+    Newton runs from the argmax node as teleports and the solves they
+    made; its step, backtrack and shift counts read 0.
     """
 
     inverse_power_steps: int = 0
@@ -295,8 +297,7 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     takes more than twice the steps with bordered runs cut at 8, and the
     mountain pass takes more sweeps with unbordered runs allowed 16.
 
-    stats takes the linear-solve and Krylov counts: a SolveStats, or the
-    mountain pass's MpassStats, which has the same three counters.
+    stats takes the linear-solve and Krylov counts.
 
     Returns (field, lam), the polished nonnegative normalized field and the
     final multiplier (None without a border), or None if no step reduced

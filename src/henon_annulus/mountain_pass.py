@@ -45,7 +45,7 @@ from .errors import (
     DegenerateFieldError,
 )
 from .geometry import DiscreteField, ProblemParams
-from .minimize import check_tolerance, newton
+from .minimize import SolveStats, check_tolerance, newton
 
 log = logging.getLogger(__name__)
 
@@ -73,24 +73,6 @@ class PathState:
         return float(self.quotients[self.max_index])
 
 
-@dataclass
-class MpassStats:
-    """What the pass did, as counts only, so reruns compare bitwise.
-
-    A polish is one Newton run from the argmax node, tried when it ran and
-    accepted when its field replaced the node. The pass hands this object
-    to minimize.newton, which counts the linear solves, Krylov iterations
-    and Krylov-capped solves of those runs here, as it does in a
-    SolveStats.
-    """
-
-    polishes_tried: int = 0
-    polishes_accepted: int = 0
-    linear_solves: int = 0
-    krylov_iterations: int = 0
-    krylov_capped: int = 0
-
-
 @dataclass(frozen=True)
 class MpassResult:
     """Mountain-pass outcome: the level, the pass field, and certificates.
@@ -99,7 +81,8 @@ class MpassResult:
     before any sweep; every caller hands it straight_path's output. A
     sweep that raises the path maximum by more than 1e-10 relative is a
     ContractViolationError, so beta <= straight_max holds by construction
-    up to that slack.
+    up to that slack. stats counts the Newton teleports of the argmax node
+    (see SolveStats).
     """
 
     beta: float
@@ -108,7 +91,7 @@ class MpassResult:
     converged: bool
     endpoint_levels: tuple[float, float]
     straight_max: float
-    stats: MpassStats = dataclasses.field(default_factory=MpassStats)
+    stats: SolveStats = dataclasses.field(default_factory=SolveStats)
 
 
 def _normalized_quotient(field: DiscreteField, alpha: float, p: float):
@@ -222,15 +205,17 @@ def mountain_pass(
 
     Stops when the argmax node's scaled residual (the same quantity
     residual_pde reports for the rescaled field) is at most tol, which must
-    be finite and positive; exceeding maxit returns the best path so far
-    with converged False. Each sweep is logged at DEBUG: its number, the
-    argmax node and every node's quotient.
+    be finite and positive; exceeding maxit, which must be at least 1,
+    returns the best path so far with converged False. Each sweep is
+    logged at DEBUG: its number, the argmax node and every node's quotient.
     """
     if (params.alpha, params.p) != (path.alpha, path.p):
         raise ConfigurationError("path was built for different (alpha, p)")
     if len(path.nodes) - 1 < MIN_SEGMENTS:
         raise ConfigurationError(f"path needs at least {MIN_SEGMENTS} segments")
     check_tolerance("tol", tol)
+    if not maxit >= 1:
+        raise ConfigurationError(f"maxit must be at least 1, got {maxit!r}")
     alpha, p = path.alpha, path.p
     grid = path.nodes[0].grid
     matrix = fn.stiffness_matrix(grid)
@@ -262,7 +247,7 @@ def mountain_pass(
         g = gradient(nodes[k])
         return float(np.linalg.norm(g)) / (2.0 * math.sqrt(quotients[k]))
 
-    stats = MpassStats()
+    stats = SolveStats()
     polish_memo: tuple = (None, None)
     while iterations < maxit:
         top_residual = argmax_residual()
@@ -355,7 +340,7 @@ def mountain_pass(
                 # argmax node is offered the teleport on every sweep:
                 # reuse the last outcome while the node is unchanged.
                 if polish_memo[0] is not nodes[k]:
-                    stats.polishes_tried += 1
+                    stats.teleports_tried += 1
                     got = newton(grid, nodes[k], float(quotients[k]), alpha, p,
                                  stats=stats)
                     polish_memo = (nodes[k], None if got is None else got[0])
@@ -378,7 +363,7 @@ def mountain_pass(
                     ):
                         nodes[k] = polished
                         quotients[k] = energy
-                        stats.polishes_accepted += 1
+                        stats.teleports_accepted += 1
         if iterations % REDISTRIBUTE_EVERY == 0:
             pin = int(np.argmax(quotients))
             if 0 < pin < m:
@@ -409,6 +394,9 @@ def mountain_pass(
         and np.array_equal(nodes[m].values, endpoint_values[1])
     ):
         raise ContractViolationError("path endpoint moved")
+    # An accepted run replaces the node its memo is keyed by, so no run is
+    # accepted twice.
+    stats.teleports_refused = stats.teleports_tried - stats.teleports_accepted
     k = int(np.argmax(quotients))
     return MpassResult(
         beta=float(quotients[k]),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, DomainError
+from .errors import ConfigurationError, ContractViolationError
 from .geometry import AxiGrid, DiscreteField, RadialGrid
 
 # eps of the boundary bubbles that start the second-minimum solve and end
@@ -58,44 +58,28 @@ def radial_bump(alpha: float, grid: RadialGrid) -> DiscreteField:
     if not isinstance(grid, RadialGrid):
         raise ConfigurationError("radial_bump expects a radial grid")
     if alpha < 2.0:
-        raise DomainError(f"radial_bump needs alpha >= 2, got {alpha!r}")
+        raise ConfigurationError(f"radial_bump needs alpha >= 2, got {alpha!r}")
     return DiscreteField.sampled(grid, lambda r: _bump(alpha * (r - 3.0) + 1.0))
 
 
-def boundary_bump(
-    alpha: float,
-    grid: AxiGrid,
-    *,
-    center_theta: float = 0.0,
-) -> DiscreteField:
+def boundary_bump(alpha: float, grid: AxiGrid) -> DiscreteField:
     """Bump supported in the ball of radius 1/alpha around (3 - 1/alpha) e.
 
-    The center sits on the symmetry axis; any off-axis center is rejected
-    because the reduction is axisymmetric. Requires alpha >= 4.
+    The center sits on the symmetry axis at theta = 0. Requires alpha >= 4.
     """
     if not isinstance(grid, AxiGrid):
         raise ConfigurationError("boundary_bump expects an axisymmetric grid")
     if alpha < 4.0:
-        raise DomainError(f"boundary_bump needs alpha >= 4, got {alpha!r}")
-    if center_theta not in (0.0, math.pi):
-        raise ConfigurationError(
-            "bump center must lie on the symmetry axis (theta = 0 or pi)"
-        )
+        raise ConfigurationError(f"boundary_bump needs alpha >= 4, got {alpha!r}")
     a = 3.0 - 1.0 / alpha
-
-    def values(r, t):
-        d = _axis_distance(r, t, a, center_theta)
-        return _bump(alpha * d)
-
-    return DiscreteField.sampled(grid, values)
+    return DiscreteField.sampled(grid, lambda r, t: _bump(alpha * _axis_distance(r, t, a)))
 
 
-def _axis_distance(r, theta, center_radius: float, center_theta: float):
-    """Euclidean distance from (r, theta) to the axis point at center_radius."""
-    z = center_radius if center_theta == 0.0 else -center_radius
+def _axis_distance(r, theta, center_radius: float):
+    """Euclidean distance from (r, theta) to the theta = 0 axis point at center_radius."""
     rz = r * np.cos(theta)
     rx = r * np.sin(theta)
-    return np.sqrt(rx * rx + (rz - z) * (rz - z))
+    return np.sqrt(rx * rx + (rz - center_radius) * (rz - center_radius))
 
 
 @dataclass(frozen=True)
@@ -115,7 +99,7 @@ class InstantonParams:
         if self.index not in (0, 1):
             raise ConfigurationError(f"instanton index must be 0 or 1, got {self.index!r}")
         if not (0.0 < self.epsilon < math.exp(-2.0)):
-            raise DomainError(
+            raise ConfigurationError(
                 f"epsilon must lie in (0, e^-2) so the support fits, got {self.epsilon!r}"
             )
         # The support ball touches its boundary sphere tangentially and must
@@ -152,7 +136,7 @@ class InstantonParams:
 def instanton_values(ip: InstantonParams, r, theta, dim: int = 3):
     """Pointwise u^i_eps = phi_i U^i_eps at (r, theta) (broadcasting)."""
     d = _axis_distance(np.asarray(r, dtype=float), np.asarray(theta, dtype=float),
-                       ip.center_radius, 0.0)
+                       ip.center_radius)
     u = (ip.epsilon + d * d) ** (-(dim - 2) / 2.0)
     ramp = (ip.support_radius - d) / (ip.support_radius - ip.plateau_radius)
     phi = np.clip(ramp, 0.0, 1.0)

@@ -31,7 +31,7 @@ import math
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .geometry import (
     ALPHA_CAP,
     INNER_RADIUS,
@@ -56,15 +56,14 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 def weight_eval(r, alpha: float):
     """| r - 2 |^alpha on [1, 3], flushed to 0 below the underflow floor.
 
-    Raises ConfigurationError for alpha outside [0, ALPHA_CAP] and
-    DomainError off the annulus. alpha = 0 gives identically 1, including
-    at r = 2.
+    Raises ConfigurationError for alpha outside [0, ALPHA_CAP] and off
+    the annulus. alpha = 0 gives identically 1, including at r = 2.
     """
     if not (0.0 <= alpha <= ALPHA_CAP):
         raise ConfigurationError(f"alpha must lie in [0, {ALPHA_CAP:g}], got {alpha!r}")
     arr = np.asarray(r, dtype=float)
     if np.any(arr < INNER_RADIUS - 1e-12) or np.any(arr > OUTER_RADIUS + 1e-12):
-        raise DomainError("weight is defined on the annulus radii [1, 3] only")
+        raise ConfigurationError("weight is defined on the annulus radii [1, 3] only")
     if alpha == 0.0:
         out = np.ones_like(arr)
         return float(out) if out.ndim == 0 else out

@@ -2,13 +2,14 @@
 
 import argparse
 import csv
+import importlib
 import json
 import logging
 import math
 
 import pytest
 
-from henon_annulus import ConfigurationError, cli, minimize
+from henon_annulus import ConfigurationError, NonConvergenceError, cli, minimize
 from henon_annulus.cli import (
     EXIT_INVALID,
     EXIT_NONCONVERGED,
@@ -216,11 +217,12 @@ class TestMountainPass:
         assert all(len(quotients) == 10 for _, _, quotients in sweeps)
         stats = payload["stats"]
         assert set(stats) == {
-            "polishes_tried", "polishes_accepted", "linear_solves",
+            "inverse_power_steps", "gradient_steps", "backtracks", "teleports_tried",
+            "teleports_accepted", "teleports_refused", "shift_increases", "linear_solves",
             "krylov_iterations", "krylov_capped",
         }
         assert all(isinstance(v, int) and v >= 0 for v in stats.values())
-        assert stats["polishes_accepted"] <= stats["polishes_tried"]
+        assert stats["teleports_accepted"] + stats["teleports_refused"] == stats["teleports_tried"]
 
 
 class TestSweepAndFit:
@@ -256,6 +258,49 @@ class TestSweepAndFit:
         assert payload["level"] == "S_rad"
         assert math.isfinite(payload["slope"])
         assert 0.0 <= payload["r_squared"] <= 1.0
+
+    def test_unconverged_beta_exits_nonconverged(self, tmp_path, monkeypatch):
+        # a pass cut after one sweep is recorded unconverged, and the sweep
+        # exits 2 as `mountain-pass --maxit 1` does
+        passes = importlib.import_module("henon_annulus.mountain_pass")
+        full = passes.mountain_pass
+        monkeypatch.setattr(
+            passes, "mountain_pass", lambda path, params: full(path, params, maxit=1)
+        )
+        out = tmp_path / "records.jsonl"
+        rc = main(
+            [
+                "sweep", "--axis", "alpha", "--values", "1", "--p", "4", *SMALL_AXI,
+                "--levels", "beta", "--out", str(out),
+            ]
+        )
+        (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+        beta = record["levels"]["beta"]
+        assert beta["converged"] is False and beta["iterations"] == 1
+        assert beta["value"] is not None
+        assert rc == EXIT_NONCONVERGED
+
+    def test_failed_level_is_recorded(self, tmp_path, monkeypatch):
+        def stalled(params, grid, **kwargs):
+            raise NonConvergenceError("every start stalled")
+
+        monkeypatch.setattr(minimize, "solve_ground", stalled)
+        out = tmp_path / "records.jsonl"
+        rc = main(
+            [
+                "sweep", "--axis", "alpha", "--values", "1", "--p", "4", *SMALL_AXI,
+                "--n-radial", "100", "--levels", "S_rad,S", "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_NONCONVERGED
+        (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+        ground = record["levels"]["S"]
+        assert ground["value"] is None and ground["converged"] is False
+        assert ground["error"] == "NonConvergenceError: every start stalled"
+        # the other level of the point is still solved and recorded
+        assert record["levels"]["S_rad"]["converged"] is True
+        assert record["levels"]["S_rad"]["value"] > 0.0
+        assert record["concentration"] is None
 
     def test_fit_refuses_mixed_sweeps(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
@@ -423,6 +468,14 @@ class TestExitCodes:
         # refused before any descent or sweep, not run to its budget
         assert main(argv) == EXIT_INVALID
         assert "tol must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("maxit", ["0", "-1"])
+    def test_pass_budget_below_one_exits_invalid(self, tmp_path, capsys, maxit):
+        out = tmp_path / "out.json"
+        argv = ["mountain-pass", "--alpha", "1", "--p", "4", *SMALL_AXI, "--maxit", maxit]
+        assert main([*argv, "--out", str(out)]) == EXIT_INVALID
+        assert "maxit must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_descending_sweep_values(self):
         rc = main(["sweep", "--axis", "alpha", "--values", "8,4,2", "--p", "4"])

@@ -8,7 +8,6 @@ import pytest
 from henon_annulus import (
     ConfigurationError,
     DiscreteField,
-    GridCompatibilityError,
     ProblemParams,
     build_axi_grid,
     build_radial_grid,
@@ -33,17 +32,14 @@ class TestProblemParams:
     def test_p_window(self):
         with pytest.raises(ConfigurationError):
             ProblemParams(1.0, 1.5)
-        with pytest.raises(ConfigurationError):
-            ProblemParams(1.0, 2.0)  # linear case needs validation_mode
-        ProblemParams(1.0, 2.0, validation_mode=True)
+        ProblemParams(1.0, 2.0)  # the linear case
         ProblemParams(1.0, 5.95)
         with pytest.raises(ConfigurationError):
             ProblemParams(1.0, 5.96)  # above 2* - margin for N = 3
         with pytest.raises(ConfigurationError):
             ProblemParams(1.0, 6.0)
-        for nan_params in ({}, {"validation_mode": True}):
-            with pytest.raises(ConfigurationError, match="p must be >= 2"):
-                ProblemParams(1.0, math.nan, **nan_params)
+        with pytest.raises(ConfigurationError, match="p must be >= 2"):
+            ProblemParams(1.0, math.nan)
 
     def test_dim_window(self):
         with pytest.raises(ConfigurationError):
@@ -144,6 +140,11 @@ class TestAxiGrid:
         with pytest.raises(ConfigurationError):
             build_axi_grid(32, 4)
 
+    def test_unknown_grading(self):
+        # the variants are "uniform" and "graded-polar"
+        with pytest.raises(ConfigurationError, match="unknown axi grading"):
+            build_axi_grid(32, 12, "graded")
+
     def test_polar_grading_clusters_axis(self):
         uniform = build_axi_grid(32, 24, "uniform")
         polar = build_axi_grid(32, 24, "graded-polar")
@@ -196,5 +197,5 @@ class TestDiscreteField:
             axi_grid_small.theta_nodes.size,
         )
         radial = DiscreteField.sampled(radial_grid, lambda r: r - 1.0)
-        with pytest.raises(GridCompatibilityError):
+        with pytest.raises(ConfigurationError):
             radial.values_2d

@@ -13,7 +13,6 @@ from henon_annulus import (
     ContractViolationError,
     CutoffSpec,
     DiscreteField,
-    DomainError,
     ProblemParams,
     ResultRecord,
     SweepSpec,
@@ -24,6 +23,7 @@ from henon_annulus import (
     load_records,
     run_sweep,
     solve_ground,
+    solve_sigma,
     write_levels_csv,
     write_snapshot,
 )
@@ -81,8 +81,8 @@ class TestSweepSpec:
             ("ctol", -1e-4, ConfigurationError),
             ("ctol", math.nan, ConfigurationError),
             ("ctol", math.inf, ConfigurationError),
-            ("eps", 0.0, DomainError),
-            ("eps", 0.5, DomainError),
+            ("eps", 0.0, ConfigurationError),
+            ("eps", 0.5, ConfigurationError),
             ("delta", 0.0, ConfigurationError),
             ("delta", 0.5, ConfigurationError),
         ],
@@ -208,6 +208,19 @@ class TestRunSweep:
         assert record.concentration == concentration_report(
             ground.field, 1.0, 4.0, CutoffSpec(spec.delta)
         ).to_dict()
+
+    def test_balanced_point_is_solve_sigma(self):
+        spec = SweepSpec(
+            axis="alpha", values=(1.0,), fixed=4.0, levels=("T",), nr=48, ntheta=16
+        )
+        (record,) = run_sweep(spec)
+        entry = record.levels["T"]
+        # the record is the balanced solve on the same grid, bit for bit
+        balanced = solve_sigma(ProblemParams(1.0, 4.0), build_axi_grid(48, 16, "graded-polar"))
+        assert entry["value"] == balanced.report.quotient
+        assert entry["constraint_defect"] == balanced.constraint_defect
+        assert entry["converged"] is balanced.converged is True
+        assert "T" in record.timings
 
     def test_beta_records_the_pass_tolerance(self):
         # the pass runs at mountain_pass's own tolerance, not the descent's

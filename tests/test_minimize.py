@@ -55,7 +55,7 @@ PINNED_T_ALPHA1_P55 = 13.142193852546008
 
 class TestRadial:
     def test_linear_case_quarter_pi_squared(self, radial_grid):
-        params = ProblemParams(alpha=0.0, p=2.0, validation_mode=True)
+        params = ProblemParams(alpha=0.0, p=2.0)
         result = solve_radial(params, radial_grid)
         assert result.converged
         assert result.report.quotient == pytest.approx(math.pi**2 / 4.0, rel=1e-4)

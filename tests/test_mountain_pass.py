@@ -146,7 +146,8 @@ class TestMountainPass:
         )
         # the argmax node was polished by Newton steps, none capped
         stats = result.stats
-        assert 1 <= stats.polishes_accepted <= stats.polishes_tried
+        assert 1 <= stats.teleports_accepted <= stats.teleports_tried
+        assert stats.teleports_refused == stats.teleports_tried - stats.teleports_accepted
         assert stats.linear_solves <= stats.krylov_iterations
         assert 1 <= stats.linear_solves
         assert stats.krylov_capped == 0
@@ -173,7 +174,7 @@ class TestMountainPass:
         assert result.converged
         assert result.beta == pytest.approx(PINNED_BETA_ALPHA1_P55, rel=1e-12)
         assert result.iterations == 11
-        assert result.stats.polishes_tried == result.stats.polishes_accepted == 1
+        assert result.stats.teleports_tried == result.stats.teleports_accepted == 1
 
     def test_degenerate_endpoints_stall_honestly(self, axi_grid, params_alpha1_p4):
         # raw bubbles at eps = 1e-2 sit far above the one-sided minima;
@@ -192,3 +193,12 @@ class TestMountainPass:
         path = straight_path(ua, ub, 12, 1.0, 4.0)
         with pytest.raises(ConfigurationError):
             mountain_pass(path, ProblemParams(alpha=2.0, p=4.0))
+
+    @pytest.mark.parametrize("maxit", [0, -1])
+    def test_budget_below_one(self, axi_grid_small, maxit):
+        # no sweep could run, so the straight path's maximum is no pass level
+        ua = instanton(InstantonParams(1e-3, 0), axi_grid_small)
+        ub = instanton(InstantonParams(1e-3, 1), axi_grid_small)
+        path = straight_path(ua, ub, 12, 1.0, 4.0)
+        with pytest.raises(ConfigurationError, match="maxit"):
+            mountain_pass(path, ProblemParams(alpha=1.0, p=4.0), maxit=maxit)

@@ -7,8 +7,9 @@ module-level function, class and constant is used somewhere; no module
 imports a concurrency library, so the package runs in one thread and its
 per-grid cache needs no lock; no module reaches a sparse direct
 factorization, so every linear solve goes through the tensor-product
-stiffness solver or MINRES; and only the harness and the command line
-open files, so the solvers report through return values and the logger.
+stiffness solver or MINRES; only the harness and the command line
+open files, so the solvers report through return values and the logger;
+and no module imports a name it never uses.
 """
 
 import ast
@@ -110,6 +111,32 @@ def test_no_file_io_outside_harness_and_cli():
     assert found == [], f"files opened outside the harness and the CLI: {found}"
 
 
+def _imports(tree: ast.Module):
+    """(line, bound name) of every import except those from __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_import(path):
+    """Every imported name is loaded somewhere in its module, annotations
+    included (__init__ imports only to re-export)."""
+    tree = _tree(path)
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = [f"{line}: {name}" for line, name in _imports(tree) if name not in loaded]
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
 def _definitions(tree: ast.Module):
     """(name, node) of every module-level function, class and constant."""
     for node in tree.body:
@@ -147,7 +174,7 @@ def test_no_unreferenced_module_names():
     """Every module-level name of the package is reached from a user.
 
     Users are the package's module-level statements outside definitions,
-    the tests, the benchmark and pyproject.toml (which names cli.entry).
+    the tests, the benchmark and pyproject.toml (which names cli.main).
     A name used only inside definitions that are themselves unreferenced
     counts as unreferenced too.
     """

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from henon_annulus import ConfigurationError, DomainError, build_axi_grid, build_radial_grid
+from henon_annulus import ConfigurationError, build_axi_grid, build_radial_grid
 from henon_annulus.weight import (
     radial_rule,
     subdivision_count,
@@ -66,9 +66,9 @@ class TestWeightEval:
         np.testing.assert_array_equal(weight_eval(r, 0.0), np.ones(11))
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             weight_eval(np.array([0.5]), 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             weight_eval(np.array([3.5]), 1.0)
 
     def test_underflow_flushes_to_zero(self):
