@@ -49,8 +49,8 @@ from . import minimize as mz
 from .diagnostics import asymmetry_index
 from .errors import HenonAnnulusError, NonConvergenceError
 from .geometry import ProblemParams, build_axi_grid, build_radial_grid
-from .mountain_pass import mountain_pass, path_crossing, straight_path
-from .profiles import BUBBLE_EPS, InstantonParams, instanton
+from .mountain_pass import path_crossing
+from .profiles import BUBBLE_EPS
 
 EXIT_OK = 0
 EXIT_NONCONVERGED = 2
@@ -190,11 +190,8 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> int:
     segments = _or(args.segments, hn.PATH_SEGMENTS)
 
     started = time.perf_counter()
-    u0 = instanton(InstantonParams(eps, 0), grid)
-    u1 = instanton(InstantonParams(eps, 1), grid)
-    path = straight_path(u0, u1, segments, params.alpha, params.p)
+    path, result = hn.bubble_pass(params, grid, eps, segments, **_given(args, "tol", "maxit"))
     crossing = path_crossing(path)
-    result = mountain_pass(path, params, **_given(args, "tol", "maxit"))
     elapsed = time.perf_counter() - started
 
     payload = {

@@ -74,14 +74,16 @@ tridiagonal K_r + mu_j M_r per angular mode, so a solve is two dense
 products with V and one tridiagonal LDL^T solve over all modes at once.
 The merit stiffness A(lam) = (1 + lam) A_plus + (1 - lam) A_minus of the
 balanced level is formed only here: stiffness_matrix(grid, lam) returns
-it (the cached A at lam = 0), and stiffness_solver(grid, lam) solves it,
-since it keeps the tensor form, its radial cells scaled by 1 + lam above
-r = 2 and 1 - lam below, and reuses the angular eigenbasis cached per grid.
+it (the cached A at lam = 0), balance_matrix(grid) its derivative in lam,
+A_plus - A_minus, and stiffness_solver(grid, lam) solves it, since it
+keeps the tensor form, its radial cells scaled by 1 + lam above r = 2 and
+1 - lam below, and reuses the angular eigenbasis cached per grid.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 
@@ -407,6 +409,11 @@ def halfspace_stiffness(grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         "halfspace_stiffness",
         lambda: (_build_stiffness(asm, mid, len(asm.k_r)), _build_stiffness(asm, 0, mid)),
     )
+
+
+def balance_matrix(grid) -> sp.csr_matrix:
+    """A_plus - A_minus, the derivative of A(lam) in lam, cached per grid."""
+    return _assembly(grid).cached("balance", lambda: operator.sub(*halfspace_stiffness(grid)))
 
 
 def _build_stiffness(asm: _Assembly, lo: int, hi: int) -> sp.csr_matrix:

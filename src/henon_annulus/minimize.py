@@ -270,9 +270,8 @@ def _multiplier(grid, u: DiscreteField, merit: float, force: np.ndarray) -> floa
     stays positive definite.
     """
     free = fn.free_slice(grid)
-    a_plus, a_minus = fn.halfspace_stiffness(grid)
     r0 = (fn.stiffness_matrix(grid) @ u.values - merit * force)[free]
-    d = ((a_plus - a_minus) @ u.values)[free]
+    d = (fn.balance_matrix(grid) @ u.values)[free]
     dd = float(d @ d)
     return 0.0 if dd == 0.0 else float(np.clip(-(d @ r0) / dd, -0.999, 0.999))
 
@@ -327,7 +326,7 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
         # with the border, the column is d = d/dlam of A(lam) w; the
         # constraint's gradient is 2 d, so its linearization
         # c + 2 d . dw = 0 is halved to keep the system symmetric
-        d = ((a_plus - a_minus) @ w)[free] if bordered else None
+        d = (fn.balance_matrix(grid) @ w)[free] if bordered else None
         got = _newton_step(jac, r, fn.stiffness_solver(grid, lam or 0.0), stats, d, 0.5 * c)
         if got is None:
             break
@@ -459,7 +458,7 @@ def _descend(
     solve = fn.stiffness_solver(grid)
     free = fn.free_slice(grid)
     mask = grid.dirichlet_mask
-    balance_op = fn.halfspace_stiffness(grid) if project else None
+    balance = fn.balance_matrix(grid) if project else None
 
     def feasible(values):
         cand = _clamped_normalized(grid, values, alpha, p)
@@ -485,7 +484,7 @@ def _descend(
         return force_memo[1]
 
     def balance_normal(field):
-        b = 2.0 * ((balance_op[0] - balance_op[1]) @ field.values)
+        b = 2.0 * (balance @ field.values)
         b[mask] = 0.0
         return b
 

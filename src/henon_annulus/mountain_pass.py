@@ -16,12 +16,17 @@ per-node descent would make the whole chain flow into the two basins and
 hide the barrier inside one segment), per-sweep displacements are capped
 at half the local node spacing, and the redistribution keeps the argmax
 node as a node, so re-sampling the polygon never raises the node
-maximum. The iteration stops when the
-argmax node is an approximate critical point, measured by the same
-scaled residual the solvers certify (at most PASS_TOL by default). Plain
-descent crawls near a saddle, so once the argmax node is near-critical
-(scaled residual at most 1e-2) it is offered the Newton teleport on every
-sweep.
+maximum. The iteration stops when the argmax node is an approximate
+critical point, measured by the same scaled residual the solvers certify
+(at most PASS_TOL by default). Plain descent crawls near a saddle, so
+once the argmax node is near-critical (scaled residual at most 1e-2) it
+is offered the Newton teleport on every sweep.
+
+Each sweep fixes one ceiling, the running maximum plus 1e-10 of max(1,
+running maximum): no climbing step, teleport or redistribution is
+accepted above it, and a sweep whose path maximum ends above it is a
+ContractViolationError, as is an endpoint that is no longer the field
+object the pass was handed.
 
 Every path with endpoints in the two half-annulus basins crosses the
 balanced set: the sign of E_plus - E_minus flips along it, which is what
@@ -39,11 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as fn
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    DegenerateFieldError,
-)
+from .errors import ConfigurationError, ContractViolationError, DegenerateFieldError
 from .geometry import DiscreteField, ProblemParams
 from .minimize import SolveStats, check_tolerance, newton
 
@@ -65,12 +66,8 @@ class PathState:
     p: float
 
     @property
-    def max_index(self) -> int:
-        return int(np.argmax(self.quotients))
-
-    @property
     def max_quotient(self) -> float:
-        return float(self.quotients[self.max_index])
+        return float(self.quotients.max())
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ class MpassResult:
 
     straight_max is the maximum quotient of the path the pass was handed,
     before any sweep; every caller hands it straight_path's output. A
-    sweep that raises the path maximum by more than 1e-10 relative is a
+    sweep that ends above its ceiling (see the module docstring) is a
     ContractViolationError, so beta <= straight_max holds by construction
     up to that slack. stats counts the Newton teleports of the argmax node
     (see SolveStats).
@@ -94,8 +91,15 @@ class MpassResult:
     stats: SolveStats = dataclasses.field(default_factory=SolveStats)
 
 
-def _normalized_quotient(field: DiscreteField, alpha: float, p: float):
-    u = fn.normalize(field, alpha, p)
+def _node(blend: DiscreteField, alpha: float, p: float):
+    """(normalized blend, its quotient), or None when the blend is zero or
+    cannot be normalized."""
+    if blend.is_zero:
+        return None
+    try:
+        u = fn.normalize(blend, alpha, p)
+    except DegenerateFieldError:
+        return None
     return u, fn.dirichlet_energy(u)
 
 
@@ -113,12 +117,11 @@ def straight_path(
     quotients = np.empty(m + 1)
     for k in range(m + 1):
         t = k / m
-        blend = u0.with_values((1.0 - t) * u0.values + t * u1.values)
-        if blend.is_zero:
-            raise DegenerateFieldError(f"interior path node {k} is identically zero")
-        node, energy = _normalized_quotient(blend, alpha, p)
+        got = _node(u0.with_values((1.0 - t) * u0.values + t * u1.values), alpha, p)
+        if got is None:
+            raise DegenerateFieldError(f"path node {k} is zero or cannot be normalized")
+        node, quotients[k] = got
         nodes.append(node)
-        quotients[k] = energy
     return PathState(nodes=nodes, quotients=quotients, alpha=alpha, p=p)
 
 
@@ -146,8 +149,10 @@ def _energy_norm(matrix, values: np.ndarray) -> float:
     return math.sqrt(max(float(values @ (matrix @ values)), 0.0))
 
 
-def _energy_length(matrix, u: DiscreteField, v: DiscreteField) -> float:
-    return _energy_norm(matrix, v.values - u.values)
+def _gaps(matrix, nodes: list[DiscreteField], k: int) -> tuple[float, float]:
+    """Energy distances from node k to its two neighbours."""
+    return (_energy_norm(matrix, nodes[k].values - nodes[k - 1].values),
+            _energy_norm(matrix, nodes[k + 1].values - nodes[k].values))
 
 
 def _redistribute(path: PathState, matrix, pin: int) -> PathState | None:
@@ -179,20 +184,11 @@ def _redistribute(path: PathState, matrix, pin: int) -> PathState | None:
             seg = lengths[i]
             t = 0.0 if seg == 0.0 else (targets[j] - cumulative[i]) / seg
             blend = nodes[lo + i].with_values(nodes[lo + i].values + t * diffs[i])
-            if blend.is_zero:
+            got = _node(blend, path.alpha, path.p)
+            if got is None:
                 return None
-            try:
-                node, energy = _normalized_quotient(blend, path.alpha, path.p)
-            except DegenerateFieldError:
-                return None
-            new_nodes[lo + j] = node
-            new_quotients[lo + j] = energy
-    return PathState(
-        nodes=new_nodes,
-        quotients=new_quotients,
-        alpha=path.alpha,
-        p=path.p,
-    )
+            new_nodes[lo + j], new_quotients[lo + j] = got
+    return PathState(new_nodes, new_quotients, path.alpha, path.p)
 
 
 def mountain_pass(
@@ -223,7 +219,6 @@ def mountain_pass(
     free = fn.free_slice(grid)
     m = len(path.nodes) - 1
     endpoint_levels = (float(path.quotients[0]), float(path.quotients[m]))
-    endpoint_values = (path.nodes[0].values.copy(), path.nodes[m].values.copy())
 
     nodes = list(path.nodes)
     quotients = path.quotients.copy()
@@ -242,20 +237,19 @@ def mountain_pass(
             grad_memo = (node, fn.functional_gradient(node, alpha, p).values)
         return grad_memo[1]
 
-    def argmax_residual() -> float:
-        k = int(np.argmax(quotients))
-        g = gradient(nodes[k])
-        return float(np.linalg.norm(g)) / (2.0 * math.sqrt(quotients[k]))
-
     stats = SolveStats()
     polish_memo: tuple = (None, None)
+    top = int(np.argmax(quotients))
     while iterations < maxit:
-        top_residual = argmax_residual()
+        top_residual = float(np.linalg.norm(gradient(nodes[top]))) / (
+            2.0 * math.sqrt(quotients[top]))
         if top_residual <= tol:
             converged = True
             break
         iterations += 1
-        top = int(np.argmax(quotients))
+        # running_max changes only at the end of a sweep, so one ceiling
+        # bounds every step, teleport and redistribution of this sweep
+        ceiling = running_max + 1e-10 * max(1.0, running_max)
         for k in range(1, m):
             g = gradient(nodes[k]) if k == top else (
                 fn.functional_gradient(nodes[k], alpha, p).values
@@ -282,24 +276,14 @@ def mountain_pass(
             # Trust region: at most half the local node spacing per
             # sweep, so nodes cannot outrun the polygon and tear the
             # path across the barrier between redistributions.
-            cap = 0.5 * min(
-                _energy_length(matrix, nodes[k - 1], nodes[k]),
-                _energy_length(matrix, nodes[k], nodes[k + 1]),
-            )
+            cap = 0.5 * min(_gaps(matrix, nodes, k))
             if dnorm == 0.0 or cap == 0.0:
                 continue
             s = min(1.0, cap / dnorm)
             for _ in range(BACKTRACK_MAX):
-                trial_vals = nodes[k].values + s * d
-                trial = nodes[k].with_values(trial_vals)
-                if not trial.is_zero:
-                    try:
-                        cand, energy = _normalized_quotient(trial, alpha, p)
-                    except DegenerateFieldError:
-                        cand = None
-                    if cand is None:
-                        s *= 0.5
-                        continue
+                got = _node(nodes[k].with_values(nodes[k].values + s * d), alpha, p)
+                if got is not None:
+                    cand, energy = got
                     if k != top:
                         ok = energy < quotients[k]
                     else:
@@ -317,8 +301,7 @@ def mountain_pass(
                         floor = max(quotients[k - 1], quotients[k + 1])
                         ok = (
                             gcand < gref
-                            and energy <= running_max
-                            + 1e-10 * max(1.0, running_max)
+                            and energy <= ceiling
                             and energy >= floor - 1e-12 * max(1.0, floor)
                         )
                     if ok:
@@ -348,17 +331,13 @@ def mountain_pass(
                 if polished is not None:
                     energy = fn.dirichlet_energy(polished)
                     moved = polished.values - nodes[k].values
-                    spacing = max(
-                        _energy_length(matrix, nodes[k - 1], nodes[k]),
-                        _energy_length(matrix, nodes[k], nodes[k + 1]),
-                    )
+                    spacing = max(_gaps(matrix, nodes, k))
                     # The pass level cannot lie below the flanking
                     # nodes; a polished field that does has fallen
                     # into a basin, not onto the saddle.
                     floor = max(quotients[k - 1], quotients[k + 1])
                     if (
-                        floor - 1e-6 * max(1.0, floor) <= energy
-                        and energy <= running_max + 1e-10 * max(1.0, running_max)
+                        floor - 1e-6 * max(1.0, floor) <= energy <= ceiling
                         and _energy_norm(matrix, moved) <= spacing
                     ):
                         nodes[k] = polished
@@ -370,37 +349,32 @@ def mountain_pass(
                 candidate = _redistribute(
                     PathState(nodes, quotients, alpha, p), matrix, pin
                 )
-                if candidate is not None and (
-                    candidate.max_quotient
-                    <= running_max + 1e-10 * max(1.0, running_max)
-                ):
+                if candidate is not None and candidate.max_quotient <= ceiling:
                     nodes = candidate.nodes
                     quotients = candidate.quotients
         current_max = float(quotients.max())
-        if current_max > running_max + 1e-10 * max(1.0, running_max):
+        if current_max > ceiling:
             raise ContractViolationError("path maximum increased")
         running_max = min(running_max, current_max)
+        top = int(np.argmax(quotients))
         if log.isEnabledFor(logging.DEBUG):
             log.debug("sweep %d: argmax node %d, quotients %s", iterations,
-                      int(np.argmax(quotients)), " ".join(f"{q:.17g}" for q in quotients))
+                      top, " ".join(f"{q:.17g}" for q in quotients))
         # Once the maximum sits at a fixed endpoint it stays there:
         # interior levels only decrease, so beta is already final and
         # the remaining sweeps cannot change the outcome.
-        if int(np.argmax(quotients)) in (0, m):
+        if top in (0, m):
             break
 
-    if not (
-        np.array_equal(nodes[0].values, endpoint_values[0])
-        and np.array_equal(nodes[m].values, endpoint_values[1])
-    ):
+    # Fields are frozen: an endpoint that is its input object is unmoved.
+    if nodes[0] is not path.nodes[0] or nodes[m] is not path.nodes[m]:
         raise ContractViolationError("path endpoint moved")
     # An accepted run replaces the node its memo is keyed by, so no run is
     # accepted twice.
     stats.teleports_refused = stats.teleports_tried - stats.teleports_accepted
-    k = int(np.argmax(quotients))
     return MpassResult(
-        beta=float(quotients[k]),
-        w=nodes[k],
+        beta=float(quotients[top]),
+        w=nodes[top],
         iterations=iterations,
         converged=converged,
         endpoint_levels=endpoint_levels,

@@ -259,6 +259,24 @@ class TestSweepAndFit:
         assert math.isfinite(payload["slope"])
         assert 0.0 <= payload["r_squared"] <= 1.0
 
+    def test_sweep_beta_is_the_mountain_pass(self, tmp_path):
+        # both commands run the one bubble-pass recipe, so their numbers agree
+        # bit for bit
+        point = ["--p", "5.5", *SMALL_AXI, "--eps", "1e-3"]
+        rc, single = _run_json(["mountain-pass", "--alpha", "1", *point], tmp_path / "mp.json")
+        assert rc == EXIT_OK
+        out = tmp_path / "records.jsonl"
+        rc = main(["sweep", "--axis", "alpha", "--values", "1", *point, "--levels", "beta",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+        beta = record["levels"]["beta"]
+        assert beta["value"] == single["beta"]
+        assert beta["iterations"] == single["iterations"]
+        assert beta["stats"] == single["stats"]
+        assert beta["endpoints"] == single["endpoint_levels"]
+        assert beta["straight_max"] == single["straight_max"]
+
     def test_unconverged_beta_exits_nonconverged(self, tmp_path, monkeypatch):
         # a pass cut after one sweep is recorded unconverged, and the sweep
         # exits 2 as `mountain-pass --maxit 1` does
@@ -508,9 +526,18 @@ class TestExitCodes:
                         "levels": {"S_rad": {"value": math.nan, "converged": True}}}),
             json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3,
                         "levels": {"S_rad": {"value": math.inf, "converged": True}}}),
+            json.dumps({"alpha": "2", "p": 4.0, "dim": 3,
+                        "levels": {"S_rad": {"value": 10.0, "converged": True}}}),
+            json.dumps({"alpha": True, "p": 4.0, "dim": 3,
+                        "levels": {"S_rad": {"value": 5.0, "converged": True}}}),
+            json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3.9,
+                        "levels": {"S_rad": {"value": 80.0, "converged": True}}}),
+            json.dumps({"alpha": 16.0, "p": math.nan, "dim": 3,
+                        "levels": {"S_rad": {"value": 80.0, "converged": True}}}),
         ],
         ids=["no-alpha", "not-an-object", "level-not-an-object", "value-not-a-number",
-             "converged-not-a-bool", "value-nan", "value-infinity"],
+             "converged-not-a-bool", "value-nan", "value-infinity", "alpha-a-string",
+             "alpha-a-bool", "dim-not-an-int", "p-nan"],
     )
     def test_malformed_records_exit_invalid(self, tmp_path, capsys, line):
         records = _unconverged_records(tmp_path / "records.jsonl")

@@ -30,6 +30,9 @@ PINNED_BETA_ALPHA1_P4 = 17.533242963748826
 # same-grid pin of the benchmark's mountain-pass inputs (96 x 32, alpha = 1,
 # p = 5.5, eps = 1e-3 bubble endpoints, 12 segments, tol = 1e-5)
 PINNED_BETA_ALPHA1_P55 = 13.525271158319786
+# the same inputs on 48 x 16, where the pass needs 84 sweeps and so runs
+# through four redistributions
+PINNED_BETA_48X16_P55 = 14.327371941721985
 
 
 def _endpoints(axi_grid, params):
@@ -113,7 +116,7 @@ class TestMountainPass:
         ua = instanton(InstantonParams(1e-3, 0), axi_grid_small)
         ub = instanton(InstantonParams(1e-3, 1), axi_grid_small)
         path = straight_path(ua, ub, 12, 1.0, 4.0)
-        assert 0 < path.max_index < 12
+        assert 0 < int(np.argmax(path.quotients)) < 12
 
         def moving(path, matrix, pin):
             nodes = list(path.nodes)
@@ -175,6 +178,28 @@ class TestMountainPass:
         assert result.beta == pytest.approx(PINNED_BETA_ALPHA1_P55, rel=1e-12)
         assert result.iterations == 11
         assert result.stats.teleports_tried == result.stats.teleports_accepted == 1
+
+    def test_redistributing_run_pinned(self, axi_grid_small, monkeypatch):
+        mp = importlib.import_module("henon_annulus.mountain_pass")
+        redistribute = mp._redistribute
+        outcomes = []
+
+        def counted(path, matrix, pin):
+            outcomes.append(redistribute(path, matrix, pin))
+            return outcomes[-1]
+
+        monkeypatch.setattr(mp, "_redistribute", counted)
+        ua = instanton(InstantonParams(1e-3, 0), axi_grid_small)
+        ub = instanton(InstantonParams(1e-3, 1), axi_grid_small)
+        path = straight_path(ua, ub, 12, 1.0, 5.5)
+        result = mountain_pass(path, ProblemParams(1.0, 5.5), tol=1e-5)
+        assert result.converged
+        assert result.beta == PINNED_BETA_48X16_P55
+        assert result.iterations == 84
+        assert len(outcomes) == 4 and all(o is not None for o in outcomes)
+        stats = result.stats
+        assert stats.teleports_tried == stats.teleports_accepted == 1
+        assert (stats.linear_solves, stats.krylov_iterations) == (4, 64)
 
     def test_degenerate_endpoints_stall_honestly(self, axi_grid, params_alpha1_p4):
         # raw bubbles at eps = 1e-2 sit far above the one-sided minima;
