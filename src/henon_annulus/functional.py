@@ -36,6 +36,13 @@ rule to within 2^-64 of its largest entry (and is the full rule on a
 field that lives in the tail). Where no point is that light, as at
 alpha = 1, the head is the whole rule and no bound is taken.
 
+No pointwise step of a kernel allocates: each runs in place in V, the
+one array of the quadrature's size the interpolation returns, or in the
+grid's one pair of work planes, grown to the largest plane used on that
+grid. The package runs in one thread, so the pair is shared by every
+kernel on the grid, and no result aliases it. functional_gradient takes
+P and F from one interpolation per factor.
+
 The stiffness, exact for the P1/Q1 basis, is
 
     A = K_r (x) M_theta + M_r (x) K_theta.
@@ -243,7 +250,8 @@ def _hat_factor(nodes: np.ndarray, pts: np.ndarray, weight: np.ndarray) -> _Fact
 
 class _Assembly:
     """Lazily built per-grid data: the two factors, the stiffness pieces,
-    the angular eigenbasis and the stiffness solver.
+    the angular eigenbasis, the stiffness solver and the kernels' pair of
+    work planes.
 
     Holds no reference to its grid, so the weak-keyed _ASSEMBLY entry goes
     with the grid. The cache assumes one thread: it holds no lock, and a
@@ -253,6 +261,7 @@ class _Assembly:
 
     def __init__(self, grid):
         self.built: dict = {}
+        self.planes = (np.empty(0), np.empty(0))
         if isinstance(grid, RadialGrid):
             r, n = grid.nodes, grid.dim
             h = np.diff(r)
@@ -290,6 +299,18 @@ class _Assembly:
         self.indices = cols[self.order].astype(np.int32)
         counts = np.bincount(rows, minlength=self.n)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+
+    def work(self, shape) -> tuple:
+        """Two planes of shape, views of the grid's one pair of work arrays.
+
+        The pair grows to the largest plane asked for on this grid and is
+        never kept per alpha. A kernel may overwrite both until it returns;
+        nothing it returns shares their memory.
+        """
+        size = shape[0] * shape[1]
+        if self.planes[0].size < size:
+            self.planes = (np.empty(size), np.empty(size))
+        return tuple(plane[:size].reshape(shape) for plane in self.planes)
 
     def cached(self, key, build):
         """The value stored under key, built by build() on first use."""
@@ -493,17 +514,23 @@ def stiffness_solver(grid, lam: float = 0.0):
     return _StiffnessSolver(grid, lam)
 
 
-def _guarded(kernel, u: DiscreteField, alpha: float, p: float, k: float):
-    """kernel over the radial factor's points for u.
+def _guarded(kernel, u: DiscreteField, alpha: float, p: float, orders):
+    """kernel's results over the radial factor's points for u.
 
-    kernel(rad, ang, vt) evaluates on one radial factor, with
+    kernel(rad, ang, vt, work) evaluates on one radial factor, with
     V = B_r U B_theta^T at its points given transposed, angular points
     along the rows, so that every kernel reduces its larger axis on
-    contiguous rows. vt is the kernel's own to overwrite: its pointwise
-    steps run in place, since a fresh temporary of this size is an
-    mmap/munmap pair with fresh page faults on every call. The tail is
-    added when its bound, for an integrand bounded by w |V|^k, is not
-    negligible against the head's result.
+    contiguous rows. It returns one result per entry of orders. vt is
+    the kernel's own to overwrite, and work(vt.shape) gives the grid's
+    pair of work planes of that shape (_Assembly.work), asked for only by
+    a kernel that needs them: every pointwise step writes into these
+    three, since a fresh temporary of this size is an mmap/munmap pair
+    with fresh page faults on every call. One pair per grid serves every
+    kernel, because the package runs in one thread; no result may share
+    memory with it. Result i gets the tail added when the tail's bound,
+    for an integrand bounded by w |V|^orders[i], is not negligible
+    against that result's head; one evaluation of the tail serves every
+    result that needs it.
     """
     if p < 2.0:
         raise ConfigurationError(f"p must be >= 2, got {p!r}")
@@ -512,22 +539,43 @@ def _guarded(kernel, u: DiscreteField, alpha: float, p: float, k: float):
     values = u.values.reshape(-1, ang.n_nodes)
 
     def run(factor):
-        return kernel(factor, ang, ang.basis @ (factor.basis @ values).T)
+        return kernel(factor, ang, ang.basis @ (factor.basis @ values).T, asm.work)
 
-    out = run(rad)
-    if rad.tail is not None and rad.tail.needed(values, k, out):
-        out = out + run(rad.tail.factor)
-    return out
+    heads = run(rad)
+    if rad.tail is None:
+        return heads
+    needed = [rad.tail.needed(values, k, head) for k, head in zip(orders, heads)]
+    if not any(needed):
+        return heads
+    tails = run(rad.tail.factor)
+    return tuple(head + tail if need else head
+                 for head, tail, need in zip(heads, tails, needed))
+
+
+def _pnorm_sum(rad, ang, vt, out, p: float):
+    """sum w |V|^p, with |V|^p written into out (which may be vt)."""
+    np.abs(vt, out=out)
+    out **= p
+    return (ang.weight @ out) @ rad.weight
+
+
+def _force_sum(rad, ang, vt, planes, p: float) -> np.ndarray:
+    """B_r^T (w |V|^{p-2} V) B_theta, overwriting vt and both work planes."""
+    g, w = planes
+    np.abs(vt, out=g)
+    g **= p - 2.0
+    g *= np.multiply.outer(ang.weight, rad.weight, out=w)
+    vt *= g
+    return np.ravel(rad.basis_t @ (ang.basis_t @ vt).T)
 
 
 def weighted_pnorm_p(u: DiscreteField, alpha: float, p: float) -> float:
     """int psi_alpha |u|^p dx over the annulus."""
-    def kernel(rad, ang, vt):
-        np.abs(vt, out=vt)
-        vt **= p
-        return (ang.weight @ vt) @ rad.weight
+    def kernel(rad, ang, vt, work):
+        return (_pnorm_sum(rad, ang, vt, vt, p),)
 
-    return float(_guarded(kernel, u, alpha, p, p))
+    (pn,) = _guarded(kernel, u, alpha, p, (p,))
+    return float(pn)
 
 
 def weighted_force(u: DiscreteField, alpha: float, p: float) -> np.ndarray:
@@ -536,14 +584,11 @@ def weighted_force(u: DiscreteField, alpha: float, p: float) -> np.ndarray:
     Uses the same quadrature as weighted_pnorm_p, so <F(u), u> equals the
     p-norm integral to roundoff.
     """
-    def kernel(rad, ang, vt):
-        g = np.abs(vt)
-        g **= p - 2.0
-        g *= np.multiply.outer(ang.weight, rad.weight)
-        g *= vt
-        return np.ravel(rad.basis_t @ (ang.basis_t @ g).T)
+    def kernel(rad, ang, vt, work):
+        return (_force_sum(rad, ang, vt, work(vt.shape), p),)
 
-    return _guarded(kernel, u, alpha, p, p - 1.0)
+    (force,) = _guarded(kernel, u, alpha, p, (p - 1.0,))
+    return force
 
 
 def angular_energy(u: DiscreteField) -> float:
@@ -575,13 +620,14 @@ def weighted_linearized_matrix(u: DiscreteField, alpha: float, p: float) -> sp.c
     weighted_pnorm_p and the layout of the stiffness, entries included
     where the density vanishes.
     """
-    def kernel(rad, ang, vt):
-        density = np.abs(vt, out=vt)
-        density **= p - 2.0
-        density *= np.multiply.outer(ang.weight, rad.weight)
-        return rad.pairs @ (ang.pairs @ density).T
+    def kernel(rad, ang, vt, work):
+        np.abs(vt, out=vt)
+        vt **= p - 2.0
+        vt *= np.multiply.outer(ang.weight, rad.weight, out=work(vt.shape)[1])
+        return (rad.pairs @ (ang.pairs @ vt).T,)
 
-    return _assembly(u.grid).tensor_matrix(_guarded(kernel, u, alpha, p, p - 2.0))
+    (pairs,) = _guarded(kernel, u, alpha, p, (p - 2.0,))
+    return _assembly(u.grid).tensor_matrix(pairs)
 
 
 def normalize(u: DiscreteField, alpha: float, p: float) -> DiscreteField:
@@ -626,17 +672,25 @@ def functional_gradient(u: DiscreteField, alpha: float, p: float) -> DiscreteFie
 
     dR = (2 / P^{2/p}) (A u - (E / P) F(u)); by construction <dR, u> = 0 to
     roundoff since <F(u), u> reproduces P through the shared quadrature.
+    P and F come from one interpolation of u per radial factor, bit for
+    bit the values weighted_pnorm_p and weighted_force return.
     """
     if u.is_zero:
         raise DegenerateFieldError("gradient at the zero field")
-    pn = weighted_pnorm_p(u, alpha, p)
+
+    def kernel(rad, ang, vt, work):
+        planes = work(vt.shape)
+        return (_pnorm_sum(rad, ang, vt, planes[0], p), _force_sum(rad, ang, vt, planes, p))
+
+    pn, force = _guarded(kernel, u, alpha, p, (p, p - 1.0))
+    pn = float(pn)
     if pn <= 0.0:
         raise DegenerateFieldError(
             "weighted p-norm vanished (field supported where the weight underflows)"
         )
     a = stiffness_matrix(u.grid)
     e = dirichlet_energy(u)
-    g = (2.0 / pn ** (2.0 / p)) * (a @ u.values - (e / pn) * weighted_force(u, alpha, p))
+    g = (2.0 / pn ** (2.0 / p)) * (a @ u.values - (e / pn) * force)
     g[u.grid.dirichlet_mask] = 0.0
     return DiscreteField(u.grid, g)
 

@@ -1,6 +1,7 @@
 """Energies, weighted norms, gradients: exactness and invariance checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,3 +389,93 @@ class TestStiffnessSolver:
         grid = build_axi_grid(16, 8, "graded-polar")
         with pytest.raises(ContractViolationError):
             fn.stiffness_solver(grid, -1.5)
+
+
+class TestFusedKernels:
+    """The kernels' work planes and the gradient's one interpolation.
+
+    Each grid's kernels share one pair of work planes (_Assembly.work);
+    functional_gradient takes P and F from one interpolation per radial
+    factor. Neither may change a bit of a result.
+    """
+
+    @pytest.mark.parametrize("alpha, p", [(1.0, 5.5), (320.0, 4.0)])
+    def test_gradient_is_the_separate_kernels_bitwise(self, alpha, p, axi_grid_small,
+                                                       monkeypatch):
+        # at alpha = 320, p = 4 the p-norm needs the tail and the force
+        # does not, so the gradient must add it to one output only
+        u = instanton(InstantonParams(1e-3, 0), axi_grid_small)
+        rad = fn._assembly(axi_grid_small).radial(alpha)
+        decisions = []
+        needed = fn._Tail.needed
+
+        def recording(tail, values, k, head):
+            decisions.append(needed(tail, values, k, head))
+            return decisions[-1]
+
+        monkeypatch.setattr(fn._Tail, "needed", recording)
+        got = functional_gradient(u, alpha, p).values
+        if alpha == 1.0:
+            assert rad.tail is None
+        else:
+            assert decisions == [True, False]
+        pn = fn.weighted_pnorm_p(u, alpha, p)
+        e = dirichlet_energy(u)
+        want = (2.0 / pn ** (2.0 / p)) * (
+            fn.stiffness_matrix(axi_grid_small) @ u.values
+            - (e / pn) * fn.weighted_force(u, alpha, p))
+        want[axi_grid_small.dirichlet_mask] = 0.0
+        assert np.array_equal(got, want)
+
+    def test_results_do_not_alias_the_work_planes(self, axi_grid_small):
+        grid = axi_grid_small
+        a = instanton(InstantonParams(1e-3, 0), grid)
+        b = _bump_axi(grid)
+        force_a = fn.weighted_force(a, 1.0, 5.5)
+        kept = force_a.copy()
+        results = [
+            force_a,
+            fn.weighted_force(b, 1.0, 5.5),
+            functional_gradient(b, 1.0, 5.5).values,
+            fn.weighted_linearized_matrix(b, 1.0, 5.5).data,
+        ]
+        assert np.array_equal(force_a, kept)
+        planes = fn._assembly(grid).planes
+        assert not any(np.shares_memory(r, w) for r in results for w in planes)
+
+    def test_warm_kernels_peak_below_two_planes(self, axi_grid):
+        alpha, p = 1.0, 5.5
+        u = normalize(instanton(InstantonParams(1e-3, 0), axi_grid), alpha, p)
+        asm = fn._assembly(axi_grid)
+        plane = 8 * asm.radial(alpha).weight.size * asm.angular.weight.size
+        for kernel in (fn.weighted_force, functional_gradient):
+            kernel(u, alpha, p)
+            tracemalloc.start()
+            try:
+                kernel(u, alpha, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * plane, kernel.__name__
+
+    def test_one_pair_of_work_planes_per_grid(self):
+        grid = build_axi_grid(48, 16, "graded-polar")
+        u = _bump_axi(grid)
+        asm = fn._assembly(grid)
+        alphas = (1.0, 20.0, 80.0, 160.0, 320.0)
+
+        def sweep():
+            for alpha in alphas:
+                fn.weighted_pnorm_p(u, alpha, 4.0)
+                fn.weighted_force(u, alpha, 4.0)
+                fn.weighted_linearized_matrix(u, alpha, 4.0)
+                functional_gradient(u, alpha, 4.0)
+
+        sweep()
+        pair = asm.planes
+        largest = max(asm.radial(a).weight.size for a in alphas) * asm.angular.weight.size
+        assert len(pair) == 2
+        assert pair[0].size == pair[1].size >= largest
+        sweep()
+        # grown once to the largest plane, never rebuilt per alpha
+        assert asm.planes[0] is pair[0] and asm.planes[1] is pair[1]
