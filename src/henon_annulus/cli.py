@@ -135,8 +135,9 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
             sink.write(text)
 
 
-def _finish(payload: dict, args: argparse.Namespace, field) -> int:
-    """Snapshot the field if asked, emit the payload, map convergence to a code."""
+def _finish(payload: dict, args: argparse.Namespace, params: ProblemParams, field) -> int:
+    """Echo params, snapshot the field if asked, emit, map convergence to a code."""
+    payload["params"] = {"dim": params.dim, "alpha": params.alpha, "p": params.p}
     if args.snapshot is not None:
         hn.write_snapshot(field, args.snapshot)
     _emit(payload, args)
@@ -178,7 +179,7 @@ def _solve(help: str, axi: bool, solver: Callable, *extras: str) -> _Command:
         result = solver(params, grid, **_given(args, "tol", *extras))
         payload = result.to_json_dict()
         payload["elapsed"] = time.perf_counter() - started
-        return _finish(payload, args, result.field)
+        return _finish(payload, args, params, result.field)
 
     return _Command(help, handler, _IO + (_AXI_POINT if axi else _RADIAL_POINT) + extras)
 
@@ -195,7 +196,6 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
 
     payload = {
-        "params": {"dim": params.dim, "alpha": params.alpha, "p": params.p},
         "eps": eps,
         "segments": segments,
         "beta": result.beta,
@@ -209,7 +209,7 @@ def _cmd_mountain_pass(args: argparse.Namespace) -> int:
         "grid": grid.descriptor,
         "elapsed": elapsed,
     }
-    return _finish(payload, args, result.w)
+    return _finish(payload, args, params, result.w)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -229,16 +229,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fixed=fixed,
         **options,
     )
-    fmt, out = _or(args.format, "json"), args.out
+    fmt, sink = _or(args.format, "json"), _or(args.out, sys.stdout)
 
     # JSONL goes through the sweep's own append-only sink; the CSV summary
     # is derived from the finished records.
-    records = hn.run_sweep(spec, out_path=out if fmt == "json" else None)
+    records = hn.run_sweep(spec, out_path=sink if fmt == "json" else None)
     if fmt == "csv":
-        hn.write_levels_csv(records, out if out is not None else sys.stdout)
-    elif out is None:
-        text = "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in records)
-        sys.stdout.write(text + "\n")
+        hn.write_levels_csv(records, sink)
 
     ok = all(
         entry.get("value") is not None and entry.get("converged")

@@ -71,6 +71,10 @@ and v = u / sqrt(E) solves the level form A v = E^{p/2} F(v);
 residual_pde reports the 2-norm of that defect over free nodes, with A or
 with the merit stiffness A(lam) below, which certifies the balanced level.
 
+rayleigh is a plain evaluation of the quotient: its report has level tag
+"raw", 0 iterations and a NaN residual. A solver's result sets those
+three fields to its level, its iterations and the defect it certified.
+
 The free nodes are one contiguous block, the interior radial rows times
 every angular node, so the stiffness on them keeps the tensor form
 K_r (x) M_theta + M_r (x) K_theta with the radial factors cut to the
@@ -107,8 +111,6 @@ from .geometry import (
 )
 from .weight import radial_rule, theta_rule, weight_eval
 
-LEVEL_TAGS = ("raw", "S_rad", "S", "T", "beta")
-
 # A radial point lighter than TAIL_WEIGHT times the factor's heaviest goes
 # to its tail, which a kernel adds only when the tail's bound exceeds
 # TAIL_SHARE of the largest entry of the rest.
@@ -136,10 +138,6 @@ class RayleighReport:
     iterations: int
     residual: float
     grid: str
-
-    def __post_init__(self) -> None:
-        if self.level_tag not in LEVEL_TAGS:
-            raise ConfigurationError(f"unknown level tag {self.level_tag!r}")
 
 
 def _eta_moments(theta_nodes: np.ndarray):
@@ -380,19 +378,23 @@ def cell_energies(u: DiscreteField) -> np.ndarray:
     if isinstance(u.grid, RadialGrid):
         d = np.diff(u.values)
         return asm.k_r * d * d
+    p, q, angular = _q1_cells(asm, u)
+    return asm.k_r[:, None] * (
+        p * p * asm.i0[None, :] + 2.0 * p * q * asm.i1[None, :] + q * q * asm.i2[None, :]
+    ) + angular
+
+
+def _q1_cells(asm: _Assembly, u: DiscreteField):
+    """(P, Q, c2 (S^2 + S Q + Q^2 / 3)) of every Q1 cell of an axisymmetric
+    field, the differences of the module docstring and the angular term."""
     u2 = u.values_2d
     u00 = u2[:-1, :-1]
     u10 = u2[1:, :-1]
     u01 = u2[:-1, 1:]
     u11 = u2[1:, 1:]
-    p = u10 - u00
     q = u00 - u10 - u01 + u11
     s = u01 - u00
-    term1 = asm.k_r[:, None] * (
-        p * p * asm.i0[None, :] + 2.0 * p * q * asm.i1[None, :] + q * q * asm.i2[None, :]
-    )
-    term2 = asm.c2 * (s * s + s * q + q * q / 3.0)
-    return term1 + term2
+    return u10 - u00, q, asm.c2 * (s * s + s * q + q * q / 3.0)
 
 
 def dirichlet_energy(u: DiscreteField) -> float:
@@ -595,15 +597,7 @@ def angular_energy(u: DiscreteField) -> float:
     """The theta-derivative share int |u_theta|^2 / r^2 dmu of the energy
     of an axisymmetric field; zero exactly iff it is theta-constant on the
     grid."""
-    asm = _assembly(u.grid)
-    u2 = u.values_2d
-    u00 = u2[:-1, :-1]
-    u10 = u2[1:, :-1]
-    u01 = u2[:-1, 1:]
-    u11 = u2[1:, 1:]
-    q = u00 - u10 - u01 + u11
-    s = u01 - u00
-    return float(np.sum(asm.c2 * (s * s + s * q + q * q / 3.0)))
+    return float(np.sum(_q1_cells(_assembly(u.grid), u)[2]))
 
 
 def theta_measure_shares(grid: AxiGrid) -> np.ndarray:
@@ -638,15 +632,7 @@ def normalize(u: DiscreteField, alpha: float, p: float) -> DiscreteField:
     return u.with_values(u.values / pn ** (1.0 / p))
 
 
-def rayleigh(
-    u: DiscreteField,
-    alpha: float,
-    p: float,
-    *,
-    level_tag: str = "raw",
-    iterations: int = 0,
-    residual: float = math.nan,
-) -> RayleighReport:
+def rayleigh(u: DiscreteField, alpha: float, p: float) -> RayleighReport:
     """Evaluate R(u) = E / P^{2/p} and package the pieces."""
     if u.is_zero:
         raise DegenerateFieldError("Rayleigh quotient of the zero field")
@@ -660,9 +646,9 @@ def rayleigh(
         dirichlet_energy=e,
         weighted_pnorm_p=pn,
         quotient=e / pn ** (2.0 / p),
-        level_tag=level_tag,
-        iterations=iterations,
-        residual=residual,
+        level_tag="raw",
+        iterations=0,
+        residual=math.nan,
         grid=u.grid.descriptor,
     )
 

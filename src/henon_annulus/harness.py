@@ -7,6 +7,9 @@ timings. Points run one after another in the calling thread, in
 ascending parameter order, so each point's timings are its own wall time;
 every level travels with the grid descriptor and tolerance it was
 computed under. Failed solves are recorded with their flags, not dropped.
+A point walks LEVEL_CHOICES through one table of each level's grid,
+tolerance, solve and entry writer; every solve entry records its
+constraint_defect.
 
 Downstream of a sweep live the two paper-facing reductions: fit_exponent
 recovers the growth exponent of a level along an alpha sweep from a
@@ -18,6 +21,7 @@ balanced minimum; on coarse grids at alpha >= 2 the computed T is not.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -138,27 +142,49 @@ class ResultRecord:
         )
 
 
-def _level_entry(result: mz.SolveResult, tol: float) -> dict:
+def _level_entry(result: mz.SolveResult, grid, tol: float) -> dict:
     return {
         "value": result.report.quotient,
         "converged": result.converged,
-        "grid": result.report.grid,
+        "grid": grid.descriptor,
         "tol": tol,
         "iterations": result.report.iterations,
         "residual": result.report.residual,
         "init_tag": result.init_tag,
+        "constraint_defect": result.constraint_defect,
         "stats": dataclasses.asdict(result.stats),
     }
 
 
-def _failed_entry(grid_label: str, tol: float, exc: HenonAnnulusError) -> dict:
+def _pass_entry(result: mp.MpassResult, grid, tol: float) -> dict:
+    return {
+        "value": result.beta,
+        "converged": result.converged,
+        "grid": grid.descriptor,
+        "tol": tol,
+        "iterations": result.iterations,
+        "endpoints": list(result.endpoint_levels),
+        "straight_max": result.straight_max,
+        "stats": dataclasses.asdict(result.stats),
+    }
+
+
+def _failed_entry(grid, tol: float, exc: HenonAnnulusError) -> dict:
     return {
         "value": None,
         "converged": False,
-        "grid": grid_label,
+        "grid": grid.descriptor,
         "tol": tol,
         "error": f"{type(exc).__name__}: {exc}",
     }
+
+
+def _concentration(field: DiscreteField, params: ProblemParams, delta: float) -> dict:
+    """The ground state's concentration report, or the error it raised."""
+    try:
+        return concentration_report(field, params.alpha, params.p, CutoffSpec(delta)).to_dict()
+    except HenonAnnulusError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def bubble_pass(params: ProblemParams, grid: AxiGrid, eps: float = BUBBLE_EPS,
@@ -175,83 +201,44 @@ def _solve_point(
     spec: SweepSpec, value: float, radial_grid: RadialGrid, axi_grid: AxiGrid
 ) -> ResultRecord:
     params = spec.point_params(value)
+    # level: (grid, tolerance, entry writer, solve)
+    table = {
+        "S_rad": (radial_grid, spec.tol, _level_entry,
+                  lambda: mz.solve_radial(params, radial_grid, tol=spec.tol)),
+        "S": (axi_grid, spec.tol, _level_entry,
+              lambda: mz.solve_ground(params, axi_grid, tol=spec.tol)),
+        "T": (axi_grid, spec.tol, _level_entry,
+              lambda: mz.solve_sigma(params, axi_grid, tol=spec.tol, ctol=spec.ctol)),
+        "beta": (axi_grid, mp.PASS_TOL, _pass_entry,
+                 lambda: bubble_pass(params, axi_grid, spec.eps)[1]),
+    }
     levels: dict = {}
     timings: dict = {}
     concentration = None
-    ground_field: DiscreteField | None = None
-
-    def timed(tag, thunk):
+    for name in (n for n in LEVEL_CHOICES if n in spec.levels):
+        grid, tol, entry, solve = table[name]
         start = time.perf_counter()
         try:
-            return thunk()
+            result = solve()
+        except HenonAnnulusError as exc:
+            levels[name] = _failed_entry(grid, tol, exc)
+            continue
         finally:
-            timings[tag] = time.perf_counter() - start
-
-    if "S_rad" in spec.levels:
-        try:
-            res = timed("S_rad", lambda: mz.solve_radial(params, radial_grid, tol=spec.tol))
-            levels["S_rad"] = _level_entry(res, spec.tol)
-        except HenonAnnulusError as exc:
-            levels["S_rad"] = _failed_entry(radial_grid.descriptor, spec.tol, exc)
-    if "S" in spec.levels:
-        try:
-            res = timed("S", lambda: mz.solve_ground(params, axi_grid, tol=spec.tol))
-            levels["S"] = _level_entry(res, spec.tol)
-            ground_field = res.field
-        except HenonAnnulusError as exc:
-            levels["S"] = _failed_entry(axi_grid.descriptor, spec.tol, exc)
-    if "T" in spec.levels:
-        try:
-            res = timed(
-                "T",
-                lambda: mz.solve_sigma(params, axi_grid, tol=spec.tol, ctol=spec.ctol),
-            )
-            entry = _level_entry(res, spec.tol)
-            entry["constraint_defect"] = res.constraint_defect
-            levels["T"] = entry
-        except HenonAnnulusError as exc:
-            levels["T"] = _failed_entry(axi_grid.descriptor, spec.tol, exc)
-    if "beta" in spec.levels:
-        try:
-            _, res = timed("beta", lambda: bubble_pass(params, axi_grid, spec.eps))
-            levels["beta"] = {
-                "value": res.beta,
-                "converged": res.converged,
-                "grid": axi_grid.descriptor,
-                "tol": mp.PASS_TOL,
-                "iterations": res.iterations,
-                "endpoints": list(res.endpoint_levels),
-                "straight_max": res.straight_max,
-                "stats": dataclasses.asdict(res.stats),
-            }
-        except HenonAnnulusError as exc:
-            levels["beta"] = _failed_entry(axi_grid.descriptor, mp.PASS_TOL, exc)
-
-    if ground_field is not None:
-        try:
-            report = concentration_report(
-                ground_field, params.alpha, params.p, CutoffSpec(spec.delta)
-            )
-            concentration = report.to_dict()
-        except HenonAnnulusError as exc:
-            concentration = {"error": f"{type(exc).__name__}: {exc}"}
-
-    return ResultRecord(
-        alpha=params.alpha,
-        p=params.p,
-        dim=params.dim,
-        levels=levels,
-        concentration=concentration,
-        timings=timings,
-    )
+            timings[name] = time.perf_counter() - start
+        levels[name] = entry(result, grid, tol)
+        if name == "S":
+            concentration = _concentration(result.field, params, spec.delta)
+    return ResultRecord(alpha=params.alpha, p=params.p, dim=params.dim, levels=levels,
+                        concentration=concentration, timings=timings)
 
 
-def run_sweep(spec: SweepSpec, out_path: str | None = None) -> list[ResultRecord]:
+def run_sweep(spec: SweepSpec, out_path=None) -> list[ResultRecord]:
     """Solve every sweep point in turn; persist whatever finished even on failure.
 
     Points run one after another in the calling thread, in ascending
     parameter order, which is also the order of the returned list and of
-    the persisted records.
+    the persisted records. out_path is a filename or an open text stream
+    (append_records).
     """
     needs_axi = any(name != "S_rad" for name in spec.levels)
     radial_grid = build_radial_grid(spec.n_radial, "graded", dim=spec.dim)
@@ -267,11 +254,19 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None) -> list[ResultRecord
     return records
 
 
-def append_records(records: list[ResultRecord], path: str) -> None:
-    """Append records to a JSON-lines file (the sink is append-only)."""
-    with open(path, "a", encoding="utf-8") as sink:
+def _open(path, mode: str):
+    """path itself if it is an open text stream, else the file at path."""
+    if hasattr(path, "write"):
+        return contextlib.nullcontext(path)
+    return open(path, mode, encoding="utf-8", newline="")
+
+
+def append_records(records: list[ResultRecord], path) -> None:
+    """Append records as JSON lines, keys sorted, to a file (the sink is
+    append-only) or to any open text stream (the CLI passes stdout)."""
+    with _open(path, "a") as sink:
         for record in records:
-            sink.write(json.dumps(record.to_json_dict()) + "\n")
+            sink.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
 
 
 def _finite_number(value) -> bool:
@@ -363,10 +358,10 @@ def fit_exponent(
     return float(slope), r_squared
 
 
-def chain_check(record: ResultRecord, *, tol: float = CHAIN_TOL) -> dict[str, str]:
+def chain_check(record: ResultRecord) -> dict[str, str]:
     """Level-ordering report: each inequality is pass, fail, or skipped.
 
-    A row passes when lower <= upper + tol * max(1, |reference|) and is
+    A row passes when lower <= upper + CHAIN_TOL * max(1, |reference|) and is
     skipped when a side is missing. S_rad, S, T take part only when converged
     (their values are otherwise meaningless); beta takes part whenever
     present, because the path maximum upper-bounds the pass level by
@@ -391,7 +386,7 @@ def chain_check(record: ResultRecord, *, tol: float = CHAIN_TOL) -> dict[str, st
         if lower is None or upper is None:
             report[name] = "skipped"
         else:
-            ok = lower <= upper + tol * max(1.0, abs(reference))
+            ok = lower <= upper + CHAIN_TOL * max(1.0, abs(reference))
             report[name] = "pass" if ok else "fail"
     return report
 
@@ -418,10 +413,7 @@ def write_levels_csv(records: list[ResultRecord], path) -> None:
                 str(bool(entry.get("converged", False))).lower(),
                 entry.get("grid", ""),
             ])
-    if hasattr(path, "write"):
-        csv.writer(path).writerows(rows)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as sink:
+    with _open(path, "w") as sink:
         csv.writer(sink).writerows(rows)
 
 

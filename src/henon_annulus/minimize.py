@@ -50,6 +50,10 @@ Every level is certified by one rule (`_certificate`): the masked merit
 gradient 2 (A(c) u - R F(u)) has norm at most GRADIENT_FACTOR R, and the
 level-form defect functional.residual_pde of u / sqrt(R) is at most
 RESIDUAL_TOL, with c = 0 off the balanced set.
+
+A SolveResult is the functional.rayleigh report of the field with the
+level, iterations and certified residual set, the field and its flags;
+the parameters stay with the caller, which echoes them where it must.
 """
 
 from __future__ import annotations
@@ -132,7 +136,6 @@ class SolveResult:
     started in (a finding, not an error).
     """
 
-    params: ProblemParams
     report: fn.RayleighReport
     field: DiscreteField
     converged: bool
@@ -143,11 +146,6 @@ class SolveResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {
-                "dim": self.params.dim,
-                "alpha": self.params.alpha,
-                "p": self.params.p,
-            },
             "level": self.report.quotient,
             "level_tag": self.report.level_tag,
             "converged": self.converged,
@@ -212,11 +210,8 @@ def _newton_step(jac, r: np.ndarray, solver, stats,
 def _clamped_normalized(grid, values, alpha: float, p: float):
     vals = np.maximum(values, 0.0)
     vals[grid.dirichlet_mask] = 0.0
-    field = DiscreteField(grid, vals)
-    if field.is_zero:
-        return None
     try:
-        return fn.normalize(field, alpha, p)
+        return fn.normalize(DiscreteField(grid, vals), alpha, p)
     except DegenerateFieldError:
         return None
 
@@ -616,16 +611,13 @@ def _check_grid(params: ProblemParams, grid, want) -> None:
 
 
 def _result(params, state, level_tag, init_tag, escaped=False) -> SolveResult:
-    report = fn.rayleigh(
-        state.field,
-        params.alpha,
-        params.p,
+    report = dataclasses.replace(
+        fn.rayleigh(state.field, params.alpha, params.p),
         level_tag=level_tag,
         iterations=state.iterations,
         residual=state.residual,
     )
     return SolveResult(
-        params=params,
         report=report,
         field=state.field,
         converged=state.converged,
@@ -789,16 +781,9 @@ def solve_sigma(
     merit, ep, em = _merit_energy(field, lam)
     gnorm, residual, stationary = _certificate(
         field, merit, fn.weighted_force(field, alpha, p), alpha, p, lam)
-    certified = _DescentState(
-        field=field,
-        merit=merit,
-        e_plus=ep,
-        e_minus=em,
-        gnorm=gnorm,
-        residual=residual,
-        iterations=state.iterations,
+    certified = dataclasses.replace(
+        state, field=field, merit=merit, e_plus=ep, e_minus=em, gnorm=gnorm, residual=residual,
         converged=stationary and abs(ep - em) <= ctol * (ep + em),
-        stats=state.stats,
     )
     return _result(params, certified, "T", "two-bump")
 

@@ -92,10 +92,8 @@ class MpassResult:
 
 
 def _node(blend: DiscreteField, alpha: float, p: float):
-    """(normalized blend, its quotient), or None when the blend is zero or
-    cannot be normalized."""
-    if blend.is_zero:
-        return None
+    """(normalized blend, its quotient), or None when the blend cannot be
+    normalized (a zero blend included)."""
     try:
         u = fn.normalize(blend, alpha, p)
     except DegenerateFieldError:

@@ -225,6 +225,51 @@ class TestMountainPass:
         assert stats["teleports_accepted"] + stats["teleports_refused"] == stats["teleports_tried"]
 
 
+def _key_order(line: str) -> list[list[str]]:
+    """The keys of every object of a JSON line in the order written, inner
+    objects first."""
+    keys: list[list[str]] = []
+    json.loads(line, object_pairs_hook=lambda pairs: keys.append([k for k, _ in pairs]))
+    return keys
+
+
+class TestDefaultOutputs:
+    def test_solve_payload_to_stdout(self, tmp_path, capsys):
+        argv = ["solve-radial", "--alpha", "1", "--p", "4", "--nr", "100"]
+        assert main(argv) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        rc, written = _run_json(argv, tmp_path / "out.json")
+        assert rc == EXIT_OK
+        assert printed["params"] == {"dim": 3, "alpha": 1.0, "p": 4.0}
+        printed.pop("elapsed")
+        written.pop("elapsed")
+        assert printed == written
+
+    def test_sweep_stdout_matches_out_file(self, tmp_path, capsys):
+        # one serializer for both sinks: the same keys in the same order,
+        # the same records up to their wall times
+        argv = ["sweep", "--axis", "alpha", "--values", "2,4", "--p", "4", "--n-radial", "100"]
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        out = tmp_path / "records.jsonl"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        written = out.read_text().splitlines()
+        assert len(printed) == len(written) == 2
+        assert [_key_order(line) for line in printed] == [_key_order(line) for line in written]
+        stdout_file = tmp_path / "stdout.jsonl"
+        stdout_file.write_text("\n".join(printed) + "\n")
+        assert _payload(stdout_file) == _payload(out)
+
+    def test_nonconvergence_exits_nonconverged(self, monkeypatch, capsys):
+        # a residual bound no field meets: solve_ground raises
+        # NonConvergenceError, which main maps to exit 2
+        monkeypatch.setattr(minimize, "RESIDUAL_TOL", -1.0)
+        assert main(["solve-ground", "--alpha", "1", "--p", "4", *SMALL_AXI]) == EXIT_NONCONVERGED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no initial guess converged: ")
+
+
 class TestSweepAndFit:
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "levels.csv"

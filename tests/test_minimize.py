@@ -9,6 +9,7 @@ gate leaves room for either discretization moving slightly.
 """
 
 import gc
+import logging
 import math
 import types
 import weakref
@@ -120,8 +121,31 @@ class TestGround:
         with pytest.raises(ConfigurationError):
             solve_ground(params_alpha1_p4, radial_grid)
 
+    def test_tie_prefers_a_bubble_start(self, caplog):
+        # at alpha = 0, p = 2 every start reaches the radial eigenfunction;
+        # the radial start sorts first, and the tie rule hands the win to a
+        # bubble start and logs it
+        grid = build_axi_grid(32, 12, "graded-polar")
+        with caplog.at_level(logging.INFO, logger="henon_annulus.minimize"):
+            result = solve_ground(ProblemParams(0.0, 2.0), grid)
+        assert result.converged
+        assert result.init_tag == "inner-bubble"
+        assert result.report.quotient == pytest.approx(2.4758626267193304, rel=1e-12)
+        assert [r.getMessage() for r in caplog.records] == [
+            "ground-state tie at quotient 2.47586262672: preferring inner-bubble over radial"
+        ]
+
 
 class TestSigma:
+    def test_rebalance_reseeds_an_empty_half(self):
+        # a normalized inner bubble leaves the outer half without energy;
+        # the rebalance reseeds it with the outer bubble before scaling
+        grid = build_axi_grid(32, 12, "graded-polar")
+        u = fn.normalize(instanton(InstantonParams(1e-2, 1), grid), 1.0, 4.0)
+        assert halfspace_energies(u)[0] == 0.0
+        e_plus, e_minus = halfspace_energies(minimize._rebalance(u, 1.0, 4.0))
+        assert e_plus == pytest.approx(17.470319268652055, rel=1e-12)
+        assert e_minus == pytest.approx(e_plus, rel=1e-12)
     def test_pinned_level_and_constraint(self, axi_grid, params_alpha1_p4):
         ctol = 1e-4
         result = solve_sigma(params_alpha1_p4, axi_grid, ctol=ctol)
@@ -384,7 +408,6 @@ class TestResultPayload:
         result = solve_radial(params_alpha1_p4, radial_grid)
         d = result.to_json_dict()
         assert set(d) == {
-            "params",
             "level",
             "level_tag",
             "converged",
@@ -396,7 +419,6 @@ class TestResultPayload:
             "escaped",
             "stats",
         }
-        assert d["params"] == {"dim": 3, "alpha": 1.0, "p": 4.0}
         assert d["grid"] == radial_grid.descriptor
         assert set(d["stats"]) == {
             "inverse_power_steps",
