@@ -11,7 +11,10 @@ kept every level, iteration count, SolveStats counter and field bitwise:
 * the records of the perfbench alpha-sweep spec (S_rad and S over alpha
   20..320 at p = 4 on 48x16), timings dropped;
 * a 48x16 sweep of S, T and beta at alpha = 1, 2 (p = 5.5), with the
-  chain_check report of each record.
+  chain_check report of each record;
+* the payload and exit code of each solve command run through cli.main
+  (alpha = 1, p = 5.5; 48x16, and 100 cells radial) and of a 48x16
+  `mountain-pass --maxit 5`, wall times dropped.
 
 A solve prints the repr of its level and residual, its iterations,
 converged flag, init tag, every SolveStats counter and the sha256 of its
@@ -26,13 +29,16 @@ Run it from a checkout root; it imports the package from ./src. Takes
 about 6 s on two cores.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 
 sys.path.insert(0, "src")
 
+from henon_annulus import cli  # noqa: E402
 from henon_annulus import harness as hn  # noqa: E402
 from henon_annulus import minimize as mz  # noqa: E402
 from henon_annulus.geometry import ProblemParams, build_axi_grid, build_radial_grid  # noqa: E402
@@ -77,6 +83,16 @@ def records_digest(records) -> list:
     return out
 
 
+def cli_digest(*argv: str) -> dict:
+    """The exit code and printed payload of a command, its wall time dropped."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(list(argv))
+    payload = json.loads(printed.getvalue())
+    del payload["elapsed"]
+    return {"exit": code, "payload": payload}
+
+
 params = ProblemParams(ALPHA, P)
 digest = {}
 near = build_axi_grid(128, 48, "graded-polar")
@@ -99,5 +115,15 @@ chain = hn.SweepSpec(axis="alpha", values=(1.0, 2.0), fixed=P, levels=("S", "T",
 records = hn.run_sweep(chain)
 digest["chain_sweep"] = records_digest(records)
 digest["chain_check"] = [hn.chain_check(record) for record in records]
+
+point = ("--alpha", str(ALPHA), "--p", str(P))
+small = ("--nr", "48", "--ntheta", "16")
+digest["cli"] = {
+    "solve-radial": cli_digest("solve-radial", *point, "--nr", "100"),
+    **{command: cli_digest(command, *point, *small)
+       for command in ("solve-ground", "solve-sigma", "solve-lambda")},
+    "mountain-pass": cli_digest("mountain-pass", *point, *small, "--eps", str(EPS),
+                                "--maxit", "5"),
+}
 
 print(json.dumps(digest, indent=1, sort_keys=True))

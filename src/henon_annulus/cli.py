@@ -13,7 +13,9 @@ print. The exit code tells the outcome:
 
 Each subcommand accepts only the options its handler reads, and an option
 left unset is not passed on: its default is the one of the function that
-reads it.
+reads it. The four solve commands and mountain-pass take their level's
+grid kind, and the solves their solver and its options, from
+harness.LEVELS, the table the sweep reads too.
 
 --log-level sends the package's log records at that level and above to
 stderr (DEBUG shows each Newton teleport of the descent and each sweep of
@@ -45,10 +47,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import harness as hn
-from . import minimize as mz
 from .diagnostics import asymmetry_index
 from .errors import HenonAnnulusError, NonConvergenceError
-from .geometry import ProblemParams, build_axi_grid, build_radial_grid
+from .geometry import ProblemParams
 from .mountain_pass import path_crossing
 from .profiles import BUBBLE_EPS
 
@@ -81,17 +82,19 @@ _OPTIONS = {
     "maxit": {"type": int, "help": "sweep budget"},
     "axis": {"choices": ("alpha", "p"), "help": "parameter that varies"},
     "values": {"help": "comma-separated ascending values"},
-    "levels": {"help": "comma-separated subset of S_rad,S,T,beta"},
+    "levels": {"help": f"comma-separated subset of {','.join(hn.LEVEL_CHOICES)}"},
     "n_radial": {"type": int, "help": "radial cells for S_rad points"},
     "level": {"help": "level tag to fit (default S_rad)"},
     "force": {"action": "store_true", "help": "fit despite non-converged records"},
 }
 
 _IO = ("out", "log_level")
-# Only the radial level is posed for general N; the axisymmetric grid is 3-D.
-_POINT = ("alpha", "p", "nr", "tol", "snapshot")
-_RADIAL_POINT = _POINT + ("dim",)
-_AXI_POINT = _POINT + ("ntheta",)
+# A point's options by grid kind. Only the radial level is posed for general
+# N; the axisymmetric grid is 3-D and has angular cells.
+_POINT = ("alpha", "p", "nr", "snapshot")
+_GRID_POINT = {hn.RADIAL: _POINT + ("dim",), hn.AXI: _POINT + ("ntheta",)}
+# The SweepSpec fields a sweep passes on as given.
+_SPEC = ("dim", "n_radial", "nr", "ntheta", "tol", "ctol", "eps", "delta")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,16 +147,14 @@ def _finish(payload: dict, args: argparse.Namespace, params: ProblemParams, fiel
     return EXIT_OK if payload["converged"] else EXIT_NONCONVERGED
 
 
-def _point_params(args: argparse.Namespace, *extras: str) -> ProblemParams:
+def _point(args: argparse.Namespace, kind: str):
+    """(params, grid) of the point the arguments give, on a grid of that kind."""
     if args.alpha is None or args.p is None:
         raise ValueError("--alpha and --p are required for this command")
-    return ProblemParams(args.alpha, args.p, **_given(args, *extras))
-
-
-def _axi_grid(args: argparse.Namespace):
-    return build_axi_grid(
-        _or(args.nr, hn.DEFAULT_NR), _or(args.ntheta, hn.DEFAULT_NTHETA), "graded-polar"
-    )
+    if kind == hn.RADIAL:
+        params = ProblemParams(args.alpha, args.p, **_given(args, "dim"))
+        return params, hn.level_grid(kind, dim=params.dim, **_given(args, "nr"))
+    return ProblemParams(args.alpha, args.p), hn.level_grid(kind, **_given(args, "nr", "ntheta"))
 
 
 @dataclass(frozen=True)
@@ -163,30 +164,23 @@ class _Command:
     options: tuple[str, ...]
 
 
-def _solve(help: str, axi: bool, solver: Callable, *extras: str) -> _Command:
-    """One solve command: its grid, its solver and the solver's own options."""
+def _solve(help: str, name: str) -> _Command:
+    """The command that solves the level hn.LEVELS[name] on its grid."""
+    level = hn.LEVELS[name]
 
     def handler(args: argparse.Namespace) -> int:
-        if axi:
-            params = _point_params(args)
-            grid = _axi_grid(args)
-        else:
-            params = _point_params(args, "dim")
-            grid = build_radial_grid(
-                _or(args.nr, hn.DEFAULT_RADIAL_CELLS), "graded", dim=params.dim
-            )
+        params, grid = _point(args, level.grid)
         started = time.perf_counter()
-        result = solver(params, grid, **_given(args, "tol", *extras))
+        result = level.solve(params, grid, **_given(args, *level.options))
         payload = result.to_json_dict()
         payload["elapsed"] = time.perf_counter() - started
         return _finish(payload, args, params, result.field)
 
-    return _Command(help, handler, _IO + (_AXI_POINT if axi else _RADIAL_POINT) + extras)
+    return _Command(help, handler, _IO + _GRID_POINT[level.grid] + level.options)
 
 
 def _cmd_mountain_pass(args: argparse.Namespace) -> int:
-    params = _point_params(args)
-    grid = _axi_grid(args)
+    params, grid = _point(args, hn.LEVELS["beta"].grid)
     eps = _or(args.eps, BUBBLE_EPS)
     segments = _or(args.segments, hn.PATH_SEGMENTS)
 
@@ -219,8 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fixed = {"alpha": args.alpha, "p": args.p}[fixed_name]
     if fixed is None:
         raise ValueError(f"sweep over {args.axis} requires the fixed value --{fixed_name}")
-    options = _given(args, "dim", "n_radial", "nr", "ntheta", "tol", "ctol", "eps",
-                     "delta")
+    options = _given(args, *_SPEC)
     if args.levels is not None:
         options["levels"] = _split(args.levels)
     spec = hn.SweepSpec(
@@ -262,18 +255,17 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 # The parser is built from this table, so a command accepts exactly the
 # options its handler reads.
 _COMMANDS = {
-    "solve-radial": _solve("radial minimizer S_rad", False, mz.solve_radial),
-    "solve-ground": _solve("global minimizer S on the axisymmetric grid", True, mz.solve_ground),
-    "solve-sigma": _solve("balanced-energy minimizer T", True, mz.solve_sigma, "ctol"),
-    "solve-lambda": _solve("inner-heavy local minimizer", True, mz.solve_lambda, "eps"),
+    "solve-radial": _solve("radial minimizer S_rad", "S_rad"),
+    "solve-ground": _solve("global minimizer S on the axisymmetric grid", "S"),
+    "solve-sigma": _solve("balanced-energy minimizer T", "T"),
+    "solve-lambda": _solve("inner-heavy local minimizer", "lambda"),
     "mountain-pass": _Command(
         "path level beta between the two instantons", _cmd_mountain_pass,
-        _IO + _AXI_POINT + ("eps", "segments", "maxit"),
+        _IO + _GRID_POINT[hn.LEVELS["beta"].grid] + ("tol", "eps", "segments", "maxit"),
     ),
     "sweep": _Command(
         "solve a family of parameter points", _cmd_sweep,
-        _IO + ("format", "alpha", "p", "dim", "nr", "ntheta", "tol", "ctol", "eps", "delta",
-               "axis", "values", "levels", "n_radial"),
+        _IO + ("format", "alpha", "p", "axis", "values", "levels") + _SPEC,
     ),
     "fit": _Command(
         "log-log slope of a level against alpha", _cmd_fit, _IO + ("level", "force")

@@ -103,12 +103,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, ContractViolationError, DegenerateFieldError
-from .geometry import (
-    AxiGrid,
-    DiscreteField,
-    RadialGrid,
-    surface_measure,
-)
+from .geometry import AxiGrid, DiscreteField, RadialGrid, surface_measure, zero_dirichlet
 from .weight import radial_rule, theta_rule, weight_eval
 
 # A radial point lighter than TAIL_WEIGHT times the factor's heaviest goes
@@ -454,13 +449,6 @@ def _build_stiffness(asm: _Assembly, lo: int, hi: int) -> sp.csr_matrix:
     )
 
 
-def free_slice(grid) -> slice:
-    """The free nodes: the interior radial rows times every angular node,
-    one contiguous block in the r-major order."""
-    n_t = _assembly(grid).angular.n_nodes
-    return slice(n_t, grid.n_nodes - n_t)
-
-
 def _dense_tridiagonal(data: np.ndarray) -> np.ndarray:
     """The dense matrix of _tridiagonal's CSR data."""
     return np.diag(data[0::3]) + np.diag(data[1::3], 1) + np.diag(data[2::3], -1)
@@ -677,8 +665,7 @@ def functional_gradient(u: DiscreteField, alpha: float, p: float) -> DiscreteFie
     a = stiffness_matrix(u.grid)
     e = dirichlet_energy(u)
     g = (2.0 / pn ** (2.0 / p)) * (a @ u.values - (e / pn) * force)
-    g[u.grid.dirichlet_mask] = 0.0
-    return DiscreteField(u.grid, g)
+    return DiscreteField(u.grid, zero_dirichlet(g, u.grid))
 
 
 def residual_pde(u: DiscreteField, level: float, alpha: float, p: float,
@@ -698,7 +685,7 @@ def residual_pde(u: DiscreteField, level: float, alpha: float, p: float,
         raise ConfigurationError(f"level must be >= 0, got {level!r}")
     a = stiffness_matrix(u.grid, lam)
     defect = a @ u.values - level ** (p / 2.0) * weighted_force(u, alpha, p)
-    return float(np.linalg.norm(defect[~u.grid.dirichlet_mask]))
+    return float(np.linalg.norm(defect[u.grid.free]))
 
 
 def scaled_critical_field(u: DiscreteField, quotient: float) -> DiscreteField:

@@ -150,10 +150,9 @@ class RadialGrid:
         return int(np.nonzero(self.nodes == MID_RADIUS)[0][0])
 
     @property
-    def dirichlet_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[0] = mask[-1] = True
-        return mask
+    def free(self) -> slice:
+        """The free nodes: every node but r = 1 and r = 3."""
+        return slice(1, self.n_nodes - 1)
 
     @property
     def descriptor(self) -> str:
@@ -165,7 +164,8 @@ class AxiGrid:
     """Tensor grid (r_i, theta_j) for the axisymmetric N = 3 reduction.
 
     Nodes are stored r-major: flat index = i * (nt + 1) + j. Dirichlet
-    nodes are the r = 1 and r = 3 columns for all theta.
+    nodes are the r = 1 and r = 3 rows for all theta, so the free nodes
+    are one contiguous block.
     """
 
     r_nodes: np.ndarray
@@ -214,10 +214,9 @@ class AxiGrid:
         return int(np.nonzero(self.r_nodes == MID_RADIUS)[0][0])
 
     @property
-    def dirichlet_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        return mask.ravel()
+    def free(self) -> slice:
+        """The free nodes: the interior radial rows times every angular node."""
+        return slice(self.nt + 1, self.n_nodes - self.nt - 1)
 
     @property
     def descriptor(self) -> str:
@@ -284,6 +283,14 @@ def build_axi_grid(
     return AxiGrid(r_nodes=radial.nodes, theta_nodes=theta, grading=label)
 
 
+def zero_dirichlet(values: np.ndarray, grid: RadialGrid | AxiGrid) -> np.ndarray:
+    """values, set to 0 in place at the Dirichlet nodes: the two blocks
+    before and after grid.free."""
+    free = grid.free
+    values[:free.start] = values[free.stop:] = 0.0
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteField:
     """Nodal coefficient vector tied to its grid.
@@ -304,7 +311,8 @@ class DiscreteField:
             )
         if not np.all(np.isfinite(values)):
             raise ConfigurationError("field coefficients must be finite")
-        if np.any(values[self.grid.dirichlet_mask] != 0.0):
+        free = self.grid.free
+        if np.any(values[:free.start]) or np.any(values[free.stop:]):
             raise ConfigurationError("field must vanish exactly at Dirichlet nodes")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -324,9 +332,7 @@ class DiscreteField:
         else:
             rr, tt = grid.node_mesh()
             values = np.asarray(fn(rr, tt), dtype=float).ravel()
-        values = values.copy()
-        values[grid.dirichlet_mask] = 0.0
-        return cls(grid, values)
+        return cls(grid, zero_dirichlet(values.copy(), grid))
 
     def with_values(self, values: np.ndarray) -> "DiscreteField":
         return DiscreteField(self.grid, values)

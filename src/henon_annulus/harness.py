@@ -7,9 +7,12 @@ timings. Points run one after another in the calling thread, in
 ascending parameter order, so each point's timings are its own wall time;
 every level travels with the grid descriptor and tolerance it was
 computed under. Failed solves are recorded with their flags, not dropped.
-A point walks LEVEL_CHOICES through one table of each level's grid,
-tolerance, solve and entry writer; every solve entry records its
-constraint_defect.
+LEVELS is the one table of how each level is computed: its grid kind
+(level_grid builds it), its solver, looked up by name at call time, the
+solver's keywords and its record entry writer. The command line's solve
+commands read the same table, and a point walks LEVEL_CHOICES, the
+sweep's subset of it; a solve entry is the result's own JSON dict with
+its level named value.
 
 Downstream of a sweep live the two paper-facing reductions: fit_exponent
 recovers the growth exponent of a level along an alpha sweep from a
@@ -24,32 +27,28 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import minimize as mz
 from . import mountain_pass as mp
 from .diagnostics import concentration_report
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    HenonAnnulusError,
-)
-from .geometry import (
-    AxiGrid,
-    DiscreteField,
-    ProblemParams,
-    RadialGrid,
-    build_axi_grid,
-    build_radial_grid,
-)
+from .errors import ConfigurationError, ContractViolationError, HenonAnnulusError
+from .geometry import (AxiGrid, DiscreteField, ProblemParams, RadialGrid, build_axi_grid,
+                       build_radial_grid)
 from .profiles import BUBBLE_EPS, DEFAULT_DELTA, CutoffSpec, InstantonParams, instanton
 
+# The levels a sweep computes, in record order: LEVELS but the inner-start
+# minimum lambda.
 LEVEL_CHOICES = ("S_rad", "S", "T", "beta")
+# The grid kinds, named by their grading: S_rad is the one radial level.
+RADIAL, AXI = "graded", "graded-polar"
 DEFAULT_RADIAL_CELLS = 2000
 DEFAULT_NR = 256
 DEFAULT_NTHETA = 96
@@ -94,10 +93,10 @@ class SweepSpec:
         # checks T, beta and the concentration report would apply there
         for value in values:
             self.point_params(value)
-        if self.dim != 3 and set(self.levels) - {"S_rad"}:
-            raise ConfigurationError(
-                f"levels S, T and beta are posed on the 3-D annulus, not dim {self.dim}"
-            )
+        axi = [name for name in self.levels if LEVELS[name].grid == AXI]
+        if self.dim != 3 and axi:
+            raise ConfigurationError(f"levels {', '.join(axi)} are posed on the 3-D annulus, "
+                                     f"not dim {self.dim}")
         mz.check_tolerance("tol", self.tol)
         mz.check_tolerance("ctol", self.ctol)
         InstantonParams(self.eps, 0)
@@ -142,40 +141,21 @@ class ResultRecord:
         )
 
 
-def _level_entry(result: mz.SolveResult, grid, tol: float) -> dict:
-    return {
-        "value": result.report.quotient,
-        "converged": result.converged,
-        "grid": grid.descriptor,
-        "tol": tol,
-        "iterations": result.report.iterations,
-        "residual": result.report.residual,
-        "init_tag": result.init_tag,
-        "constraint_defect": result.constraint_defect,
-        "stats": dataclasses.asdict(result.stats),
-    }
+def _level_entry(result: mz.SolveResult) -> dict:
+    entry = result.to_json_dict()
+    entry["value"] = entry.pop("level")
+    return entry
 
 
-def _pass_entry(result: mp.MpassResult, grid, tol: float) -> dict:
+def _pass_entry(passed: tuple) -> dict:
+    _, result = passed  # bubble_pass returns (path, result)
     return {
         "value": result.beta,
         "converged": result.converged,
-        "grid": grid.descriptor,
-        "tol": tol,
         "iterations": result.iterations,
         "endpoints": list(result.endpoint_levels),
         "straight_max": result.straight_max,
         "stats": dataclasses.asdict(result.stats),
-    }
-
-
-def _failed_entry(grid, tol: float, exc: HenonAnnulusError) -> dict:
-    return {
-        "value": None,
-        "converged": False,
-        "grid": grid.descriptor,
-        "tol": tol,
-        "error": f"{type(exc).__name__}: {exc}",
     }
 
 
@@ -197,35 +177,65 @@ def bubble_pass(params: ProblemParams, grid: AxiGrid, eps: float = BUBBLE_EPS,
     return path, mp.mountain_pass(path, params, **options)
 
 
-def _solve_point(
-    spec: SweepSpec, value: float, radial_grid: RadialGrid, axi_grid: AxiGrid
-) -> ResultRecord:
+@dataclass(frozen=True)
+class Level:
+    """How one level is computed, for the command line and the sweep alike:
+    its grid kind, RADIAL or AXI (see level_grid); its solver, the attribute
+    `solver` of the package module `module`, looked up at each call so that
+    a wrapper or patch on it reaches both front ends; the solver's keywords,
+    read under the same names from the command line or the SweepSpec; and
+    the writer of a sweep entry from what the solver returned."""
+
+    grid: str
+    module: str
+    solver: str
+    options: tuple[str, ...]
+    entry: Callable
+
+    def solve(self, params: ProblemParams, grid, **options):
+        module = importlib.import_module(f"{__package__}.{self.module}")
+        return getattr(module, self.solver)(params, grid, **options)
+
+
+LEVELS = {
+    "S_rad": Level(RADIAL, "minimize", "solve_radial", ("tol",), _level_entry),
+    "S": Level(AXI, "minimize", "solve_ground", ("tol",), _level_entry),
+    "T": Level(AXI, "minimize", "solve_sigma", ("tol", "ctol"), _level_entry),
+    "lambda": Level(AXI, "minimize", "solve_lambda", ("tol", "eps"), _level_entry),
+    # the pass runs at mountain_pass's own tolerance, PASS_TOL
+    "beta": Level(AXI, "harness", "bubble_pass", ("eps",), _pass_entry),
+}
+
+
+def level_grid(kind: str, nr: int | None = None, ntheta: int = DEFAULT_NTHETA, dim: int = 3):
+    """The grid of a level kind: the radial grid of nr cells (default
+    DEFAULT_RADIAL_CELLS) in dimension dim, or the 3-D axisymmetric grid of
+    nr (default DEFAULT_NR) by ntheta cells."""
+    if kind == RADIAL:
+        return build_radial_grid(DEFAULT_RADIAL_CELLS if nr is None else nr, kind, dim=dim)
+    return build_axi_grid(DEFAULT_NR if nr is None else nr, ntheta, kind)
+
+
+def _solve_point(spec: SweepSpec, value: float, grids: dict) -> ResultRecord:
     params = spec.point_params(value)
-    # level: (grid, tolerance, entry writer, solve)
-    table = {
-        "S_rad": (radial_grid, spec.tol, _level_entry,
-                  lambda: mz.solve_radial(params, radial_grid, tol=spec.tol)),
-        "S": (axi_grid, spec.tol, _level_entry,
-              lambda: mz.solve_ground(params, axi_grid, tol=spec.tol)),
-        "T": (axi_grid, spec.tol, _level_entry,
-              lambda: mz.solve_sigma(params, axi_grid, tol=spec.tol, ctol=spec.ctol)),
-        "beta": (axi_grid, mp.PASS_TOL, _pass_entry,
-                 lambda: bubble_pass(params, axi_grid, spec.eps)[1]),
-    }
     levels: dict = {}
     timings: dict = {}
     concentration = None
     for name in (n for n in LEVEL_CHOICES if n in spec.levels):
-        grid, tol, entry, solve = table[name]
+        level = LEVELS[name]
+        grid = grids[level.grid]
+        options = {key: getattr(spec, key) for key in level.options}
+        entry = levels[name] = {"grid": grid.descriptor,
+                                "tol": options.get("tol", mp.PASS_TOL)}
         start = time.perf_counter()
         try:
-            result = solve()
+            result = level.solve(params, grid, **options)
         except HenonAnnulusError as exc:
-            levels[name] = _failed_entry(grid, tol, exc)
+            entry.update(value=None, converged=False, error=f"{type(exc).__name__}: {exc}")
             continue
         finally:
             timings[name] = time.perf_counter() - start
-        levels[name] = entry(result, grid, tol)
+        entry.update(level.entry(result))
         if name == "S":
             concentration = _concentration(result.field, params, spec.delta)
     return ResultRecord(alpha=params.alpha, p=params.p, dim=params.dim, levels=levels,
@@ -240,14 +250,15 @@ def run_sweep(spec: SweepSpec, out_path=None) -> list[ResultRecord]:
     the persisted records. out_path is a filename or an open text stream
     (append_records).
     """
-    needs_axi = any(name != "S_rad" for name in spec.levels)
-    radial_grid = build_radial_grid(spec.n_radial, "graded", dim=spec.dim)
-    axi_grid = build_axi_grid(spec.nr, spec.ntheta, "graded-polar") if needs_axi else None
-
+    grids = {
+        kind: level_grid(kind, spec.n_radial if kind == RADIAL else spec.nr, spec.ntheta,
+                         spec.dim)
+        for kind in dict.fromkeys(LEVELS[name].grid for name in spec.levels)
+    }
     records: list[ResultRecord] = []
     try:
         for value in spec.values:
-            records.append(_solve_point(spec, value, radial_grid, axi_grid))
+            records.append(_solve_point(spec, value, grids))
     finally:
         if out_path is not None and records:
             append_records(records, out_path)

@@ -73,7 +73,8 @@ from .errors import (
     DegenerateFieldError,
     NonConvergenceError,
 )
-from .geometry import AxiGrid, DiscreteField, ProblemParams, RadialGrid, embed_radial
+from .geometry import (AxiGrid, DiscreteField, ProblemParams, RadialGrid, embed_radial,
+                       zero_dirichlet)
 from .profiles import BUBBLE_EPS, InstantonParams, instanton
 
 log = logging.getLogger(__name__)
@@ -208,8 +209,7 @@ def _newton_step(jac, r: np.ndarray, solver, stats,
 
 
 def _clamped_normalized(grid, values, alpha: float, p: float):
-    vals = np.maximum(values, 0.0)
-    vals[grid.dirichlet_mask] = 0.0
+    vals = zero_dirichlet(np.maximum(values, 0.0), grid)
     try:
         return fn.normalize(DiscreteField(grid, vals), alpha, p)
     except DegenerateFieldError:
@@ -237,9 +237,7 @@ def _merit_energy(u: DiscreteField, lam: float = 0.0) -> tuple[float, float, flo
 def _merit_gradient(a, u: DiscreteField, merit: float, force: np.ndarray) -> np.ndarray:
     """2 (A u - merit F(u)) for the stiffness a, zero at Dirichlet nodes;
     force is F(u)."""
-    g = 2.0 * (a @ u.values - merit * force)
-    g[u.grid.dirichlet_mask] = 0.0
-    return g
+    return zero_dirichlet(2.0 * (a @ u.values - merit * force), u.grid)
 
 
 def _certificate(u: DiscreteField, merit: float, force: np.ndarray, alpha: float,
@@ -264,7 +262,7 @@ def _multiplier(grid, u: DiscreteField, merit: float, force: np.ndarray) -> floa
     the free nodes, given force = F(u), clipped to |lam| < 1 so that A(lam)
     stays positive definite.
     """
-    free = fn.free_slice(grid)
+    free = grid.free
     r0 = (fn.stiffness_matrix(grid) @ u.values - merit * force)[free]
     d = (fn.balance_matrix(grid) @ u.values)[free]
     dd = float(d @ d)
@@ -297,7 +295,7 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     final multiplier (None without a border), or None if no step reduced
     the residual.
     """
-    free = fn.free_slice(grid)
+    free = grid.free
     bordered = lam is not None
     stats = SolveStats() if stats is None else stats
     if bordered:
@@ -377,7 +375,7 @@ def _teleport(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     """
     a = fn.stiffness_matrix(grid)
     solver = fn.stiffness_solver(grid)
-    free = fn.free_slice(grid)
+    free = grid.free
     start, best, reached = merit, None, math.inf
     mu = 0.0
     curvature = None  # (p - 1) R M(u) at the current iterate
@@ -451,8 +449,7 @@ def _descend(
     check_tolerance("tol", tol)
     a = fn.stiffness_matrix(grid)
     solve = fn.stiffness_solver(grid)
-    free = fn.free_slice(grid)
-    mask = grid.dirichlet_mask
+    free = grid.free
     balance = fn.balance_matrix(grid) if project else None
 
     def feasible(values):
@@ -479,9 +476,7 @@ def _descend(
         return force_memo[1]
 
     def balance_normal(field):
-        b = 2.0 * (balance @ field.values)
-        b[mask] = 0.0
-        return b
+        return zero_dirichlet(2.0 * (balance @ field.values), grid)
 
     def stopping_norm(field, g):
         # On the balanced set only the tangential component can vanish.

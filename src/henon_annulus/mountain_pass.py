@@ -214,7 +214,7 @@ def mountain_pass(
     grid = path.nodes[0].grid
     matrix = fn.stiffness_matrix(grid)
     solve = fn.stiffness_solver(grid)
-    free = fn.free_slice(grid)
+    free = grid.free
     m = len(path.nodes) - 1
     endpoint_levels = (float(path.quotients[0]), float(path.quotients[m]))
 

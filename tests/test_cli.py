@@ -193,6 +193,37 @@ class TestSolveCommands:
         assert not out.exists()
 
 
+class TestLevelTable:
+    # command: (the minimize solver it runs, its grid options, the grid)
+    SOLVERS = {
+        "solve-radial": ("solve_radial", ["--nr", "100"], "radial(n=100,graded(40),N=3)"),
+        "solve-ground": ("solve_ground", SMALL_AXI, "axi(48x16,graded(r40,t30))"),
+        "solve-sigma": ("solve_sigma", SMALL_AXI, "axi(48x16,graded(r40,t30))"),
+        "solve-lambda": ("solve_lambda", SMALL_AXI, "axi(48x16,graded(r40,t30))"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SOLVERS))
+    def test_solver_is_looked_up_at_call_time(self, command, tmp_path, monkeypatch):
+        # a patch on minimize reaches the command as it reaches the sweep,
+        # and the command solves on its level's grid kind: graded radial
+        # for S_rad, graded-polar axisymmetric for the others
+        solver, grid_args, descriptor = self.SOLVERS[command]
+        real = getattr(minimize, solver)
+        calls = []
+
+        def recorder(params, grid, **options):
+            calls.append((grid, options))
+            return real(params, grid, **options)
+
+        monkeypatch.setattr(minimize, solver, recorder)
+        rc, payload = _run_json([command, "--alpha", "1", "--p", "5.5", *grid_args],
+                                tmp_path / "out.json")
+        assert rc == EXIT_OK
+        ((grid, options),) = calls
+        assert options == {}
+        assert grid.descriptor == descriptor == payload["grid"]
+
+
 class TestMountainPass:
     def test_budgeted_run_reports_nonconvergence(self, tmp_path, caplog):
         rc, payload = _run_json(

@@ -27,6 +27,7 @@ from henon_annulus import (
     weighted_pnorm_p,
 )
 from henon_annulus import functional as fn
+from henon_annulus.geometry import zero_dirichlet
 
 from cell_quadrature import cell_weighted_integral
 
@@ -252,7 +253,7 @@ class TestGradient:
         alpha, p = 1.0, 4.0
         u = _bump_axi(axi_grid_small)
         g = functional_gradient(u, alpha, p).values
-        free = np.flatnonzero(~axi_grid_small.dirichlet_mask)
+        free = np.arange(axi_grid_small.n_nodes)[axi_grid_small.free]
         base = rayleigh(u, alpha, p).quotient
         h = 1e-6
         for k in rng.choice(free, size=12, replace=False):
@@ -274,7 +275,8 @@ class TestGradient:
 
     def test_zero_at_dirichlet(self, axi_grid):
         g = functional_gradient(_bump_axi(axi_grid), 1.0, 4.0)
-        assert np.all(g.values[axi_grid.dirichlet_mask] == 0.0)
+        free = axi_grid.free
+        assert np.all(g.values[:free.start] == 0.0) and np.all(g.values[free.stop:] == 0.0)
 
 
 class TestResidual:
@@ -322,7 +324,7 @@ class TestHalfspaceDecomposition:
         # rough field: on the smooth bump the quadratic form cancels down
         # to ~1e-12 relative, as the check above allows.
         v = rng.standard_normal(grid.n_nodes)
-        v[grid.dirichlet_mask] = 0.0
+        zero_dirichlet(v, grid)
         ep, em = halfspace_energies(DiscreteField(grid, v))
         for lam in (-0.9, 0.7):
             merit = float(v @ (fn.stiffness_matrix(grid, lam) @ v))
@@ -367,7 +369,7 @@ class TestStiffnessSolver:
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_matches_sparse_direct_solve(self, name, lam, rng):
         grid = self.GRIDS[name]()
-        free = fn.free_slice(grid)
+        free = grid.free
         a = fn.stiffness_matrix(grid, lam)[free, free]
         b = rng.standard_normal(a.shape[0])
         x = fn.stiffness_solver(grid, lam)(b)
@@ -379,10 +381,8 @@ class TestStiffnessSolver:
 
     def test_free_block_is_the_interior_rows(self):
         grid = build_axi_grid(16, 8, "graded-polar")
-        free = fn.free_slice(grid)
-        mask = np.ones(grid.n_nodes, dtype=bool)
-        mask[free] = False
-        assert np.array_equal(mask, grid.dirichlet_mask)
+        rows = np.arange(grid.n_nodes).reshape(grid.shape)
+        assert np.array_equal(np.arange(grid.n_nodes)[grid.free], rows[1:-1].ravel())
 
     def test_lam_outside_the_open_interval_is_refused(self):
         grid = build_axi_grid(16, 8, "graded-polar")
@@ -423,7 +423,7 @@ class TestFusedKernels:
         want = (2.0 / pn ** (2.0 / p)) * (
             fn.stiffness_matrix(axi_grid_small) @ u.values
             - (e / pn) * fn.weighted_force(u, alpha, p))
-        want[axi_grid_small.dirichlet_mask] = 0.0
+        zero_dirichlet(want, axi_grid_small)
         assert np.array_equal(got, want)
 
     def test_results_do_not_alias_the_work_planes(self, axi_grid_small):

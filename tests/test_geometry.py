@@ -74,11 +74,9 @@ class TestRadialGrid:
             grid = build_radial_grid(50, grading)
             assert 2.0 in grid.nodes
 
-    def test_dirichlet_mask(self):
+    def test_free_nodes(self):
         grid = build_radial_grid(64)
-        mask = grid.dirichlet_mask
-        assert mask[0] and mask[-1]
-        assert mask.sum() == 2
+        assert np.arange(grid.n_nodes)[grid.free].tolist() == list(range(1, 64))
 
     def test_grading_clusters_boundary(self):
         uniform = build_radial_grid(200, "uniform")
@@ -126,9 +124,11 @@ class TestAxiGrid:
 
     def test_dirichlet_columns(self):
         grid = build_axi_grid(16, 8)
-        mask2 = grid.dirichlet_mask.reshape(17, 9)
-        assert mask2[0].all() and mask2[-1].all()
-        assert not mask2[1:-1].any()
+        free = np.zeros(grid.n_nodes, dtype=bool)
+        free[grid.free] = True
+        free2 = free.reshape(17, 9)
+        assert not free2[0].any() and not free2[-1].any()
+        assert free2[1:-1].all()
 
     def test_descriptor(self):
         grid = build_axi_grid(96, 32, "graded-polar")

@@ -365,7 +365,7 @@ class TestNewtonStep:
         # well away from roundoff, and the border F(u)
         grid, params, result = ground
         alpha, p, u = params.alpha, params.p, result.field
-        free = fn.free_slice(grid)
+        free = grid.free
         a = fn.stiffness_matrix(grid)
         jac = (a - (p - 1.0) * result.report.quotient
                * fn.weighted_linearized_matrix(u, alpha, p))[free, free]
