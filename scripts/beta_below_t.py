@@ -25,7 +25,7 @@ for (nr, ntheta), alphas in POINTS:
     grid = build_axi_grid(nr, ntheta, "graded-polar")
     for record in hn.run_sweep(spec):
         t, beta = record.levels["T"], record.levels["beta"]
-        _, result = hn.bubble_pass(ProblemParams(record.alpha, P), grid, EPS)
+        result = hn.bubble_pass(ProblemParams(record.alpha, P), grid, EPS)
         ep, em = fn.halfspace_energies(result.w)
         balanced = mz._rebalance(result.w, record.alpha, P)
         print(f"{nr}x{ntheta} alpha={record.alpha:g}: T={t['value']:.9f} "

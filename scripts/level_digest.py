@@ -101,8 +101,8 @@ digest["lambda0@128x48"] = solve_digest(mz.solve_lambda(params, near, index=0))
 digest["T@128x48"] = solve_digest(mz.solve_sigma(params, near, ctol=1e-4))
 digest["T@96x32"] = solve_digest(mz.solve_sigma(params, build_axi_grid(96, 32, "graded-polar")))
 for nr, nt in ((96, 32), (48, 16)):
-    _, result = hn.bubble_pass(params, build_axi_grid(nr, nt, "graded-polar"), EPS, SEGMENTS,
-                               tol=PASS_TOL)
+    result = hn.bubble_pass(params, build_axi_grid(nr, nt, "graded-polar"), EPS, SEGMENTS,
+                            tol=PASS_TOL)
     digest[f"beta@{nr}x{nt}"] = pass_digest(result)
 digest["S_rad@2000"] = solve_digest(mz.solve_radial(params, build_radial_grid(2000, "graded")))
 

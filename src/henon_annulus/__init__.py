@@ -132,6 +132,7 @@ __all__ = [
     "solve_sigma",
     "straight_path",
     "weight_eval",
+    "weighted_pnorm_p",
     "write_levels_csv",
     "write_snapshot",
 ]

@@ -4,7 +4,11 @@ Every subcommand prints JSON: one object for a solve, a pass or a fit, and
 one record per line for a sweep (a sweep that solves S carries the ground
 state's concentration report in each record). `sweep --format csv` prints
 one row per (alpha, p, level) instead; no other command has a table to
-print. The exit code tells the outcome:
+print. A level's number is always named value. A solve's or a pass's
+payload is its result's to_json_dict(), the dict a sweep records as that
+level's entry, plus the point's params and the wall time elapsed; a pass
+adds its eps, segments, crossing_index and the pass field's
+asymmetry_index. The exit code tells the outcome:
 
     0   success (all requested solves converged)
     2   a solve finished without meeting its convergence contract (a
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import shlex
@@ -182,27 +185,14 @@ def _solve(help: str, name: str) -> _Command:
 def _cmd_mountain_pass(args: argparse.Namespace) -> int:
     params, grid = _point(args, hn.LEVELS["beta"].grid)
     eps = _or(args.eps, BUBBLE_EPS)
-    segments = _or(args.segments, hn.PATH_SEGMENTS)
 
     started = time.perf_counter()
-    path, result = hn.bubble_pass(params, grid, eps, segments, **_given(args, "tol", "maxit"))
-    crossing = path_crossing(path)
-    elapsed = time.perf_counter() - started
-
-    payload = {
-        "eps": eps,
-        "segments": segments,
-        "beta": result.beta,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "endpoint_levels": list(result.endpoint_levels),
-        "straight_max": result.straight_max,
-        "stats": dataclasses.asdict(result.stats),
-        "crossing_index": crossing,
-        "asymmetry_index": asymmetry_index(result.w),
-        "grid": grid.descriptor,
-        "elapsed": elapsed,
-    }
+    result = hn.bubble_pass(params, grid, eps, **_given(args, "segments", "tol", "maxit"))
+    payload = result.to_json_dict()
+    payload.update(eps=eps, segments=len(result.path.nodes) - 1,
+                   crossing_index=path_crossing(result.path),
+                   asymmetry_index=asymmetry_index(result.w))
+    payload["elapsed"] = time.perf_counter() - started
     return _finish(payload, args, params, result.w)
 
 

@@ -8,11 +8,12 @@ ascending parameter order, so each point's timings are its own wall time;
 every level travels with the grid descriptor and tolerance it was
 computed under. Failed solves are recorded with their flags, not dropped.
 LEVELS is the one table of how each level is computed: its grid kind
-(level_grid builds it), its solver, looked up by name at call time, the
-solver's keywords and its record entry writer. The command line's solve
-commands read the same table, and a point walks LEVEL_CHOICES, the
-sweep's subset of it; a solve entry is the result's own JSON dict with
-its level named value.
+(level_grid builds it), its solver, looked up by name at call time, and
+the solver's keywords. The command line's solve commands read the same
+table, and a point walks LEVEL_CHOICES, the sweep's subset of it. A
+level's entry is its result's own to_json_dict() (SolveResult or
+MpassResult), the dict the command line prints, with the level under
+value, plus the tol it ran at.
 
 Downstream of a sweep live the two paper-facing reductions: fit_exponent
 recovers the growth exponent of a level along an alpha sweep from a
@@ -32,7 +33,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -141,24 +141,6 @@ class ResultRecord:
         )
 
 
-def _level_entry(result: mz.SolveResult) -> dict:
-    entry = result.to_json_dict()
-    entry["value"] = entry.pop("level")
-    return entry
-
-
-def _pass_entry(passed: tuple) -> dict:
-    _, result = passed  # bubble_pass returns (path, result)
-    return {
-        "value": result.beta,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "endpoints": list(result.endpoint_levels),
-        "straight_max": result.straight_max,
-        "stats": dataclasses.asdict(result.stats),
-    }
-
-
 def _concentration(field: DiscreteField, params: ProblemParams, delta: float) -> dict:
     """The ground state's concentration report, or the error it raised."""
     try:
@@ -168,13 +150,13 @@ def _concentration(field: DiscreteField, params: ProblemParams, delta: float) ->
 
 
 def bubble_pass(params: ProblemParams, grid: AxiGrid, eps: float = BUBBLE_EPS,
-                segments: int = PATH_SEGMENTS, **options):
-    """(path, result) of the pass from the outer bubble u0 to the inner bubble
-    u1 at eps along a straight path; options (tol, maxit) go to mountain_pass."""
+                segments: int = PATH_SEGMENTS, **options) -> mp.MpassResult:
+    """The pass from the outer bubble u0 to the inner bubble u1 at eps along
+    a straight path; options (tol, maxit) go to mountain_pass."""
     u0 = instanton(InstantonParams(eps, 0), grid)
     u1 = instanton(InstantonParams(eps, 1), grid)
     path = mp.straight_path(u0, u1, segments, params.alpha, params.p)
-    return path, mp.mountain_pass(path, params, **options)
+    return mp.mountain_pass(path, params, **options)
 
 
 @dataclass(frozen=True)
@@ -182,15 +164,15 @@ class Level:
     """How one level is computed, for the command line and the sweep alike:
     its grid kind, RADIAL or AXI (see level_grid); its solver, the attribute
     `solver` of the package module `module`, looked up at each call so that
-    a wrapper or patch on it reaches both front ends; the solver's keywords,
-    read under the same names from the command line or the SweepSpec; and
-    the writer of a sweep entry from what the solver returned."""
+    a wrapper or patch on it reaches both front ends; and the solver's
+    keywords, read under the same names from the command line or the
+    SweepSpec. Every solver returns a result whose to_json_dict() is both
+    the level's sweep entry and the body of its command's payload."""
 
     grid: str
     module: str
     solver: str
     options: tuple[str, ...]
-    entry: Callable
 
     def solve(self, params: ProblemParams, grid, **options):
         module = importlib.import_module(f"{__package__}.{self.module}")
@@ -198,12 +180,12 @@ class Level:
 
 
 LEVELS = {
-    "S_rad": Level(RADIAL, "minimize", "solve_radial", ("tol",), _level_entry),
-    "S": Level(AXI, "minimize", "solve_ground", ("tol",), _level_entry),
-    "T": Level(AXI, "minimize", "solve_sigma", ("tol", "ctol"), _level_entry),
-    "lambda": Level(AXI, "minimize", "solve_lambda", ("tol", "eps"), _level_entry),
+    "S_rad": Level(RADIAL, "minimize", "solve_radial", ("tol",)),
+    "S": Level(AXI, "minimize", "solve_ground", ("tol",)),
+    "T": Level(AXI, "minimize", "solve_sigma", ("tol", "ctol")),
+    "lambda": Level(AXI, "minimize", "solve_lambda", ("tol", "eps")),
     # the pass runs at mountain_pass's own tolerance, PASS_TOL
-    "beta": Level(AXI, "harness", "bubble_pass", ("eps",), _pass_entry),
+    "beta": Level(AXI, "harness", "bubble_pass", ("eps",)),
 }
 
 
@@ -235,7 +217,7 @@ def _solve_point(spec: SweepSpec, value: float, grids: dict) -> ResultRecord:
             continue
         finally:
             timings[name] = time.perf_counter() - start
-        entry.update(level.entry(result))
+        entry.update(result.to_json_dict())
         if name == "S":
             concentration = _concentration(result.field, params, spec.delta)
     return ResultRecord(alpha=params.alpha, p=params.p, dim=params.dim, levels=levels,

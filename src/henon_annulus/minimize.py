@@ -147,7 +147,7 @@ class SolveResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "level": self.report.quotient,
+            "value": self.report.quotient,
             "level_tag": self.report.level_tag,
             "converged": self.converged,
             "constraint_defect": self.constraint_defect,
@@ -809,4 +809,4 @@ def solve_lambda(
         margin = -margin
     escaped = margin < INTERIOR_MARGIN * total
     tag = "outer-bubble" if index == 0 else "inner-bubble"
-    return _result(params, state, "raw", tag, escaped=escaped)
+    return _result(params, state, "lambda", tag, escaped=escaped)

@@ -74,21 +74,40 @@ class PathState:
 class MpassResult:
     """Mountain-pass outcome: the level, the pass field, and certificates.
 
-    straight_max is the maximum quotient of the path the pass was handed,
-    before any sweep; every caller hands it straight_path's output. A
-    sweep that ends above its ceiling (see the module docstring) is a
-    ContractViolationError, so beta <= straight_max holds by construction
-    up to that slack. stats counts the Newton teleports of the argmax node
-    (see SolveStats).
+    path is the path the pass was handed, before any sweep (the pass
+    deforms copies); every caller hands it straight_path's output.
+    endpoint_levels and straight_max are read off it: the quotients of its
+    two end nodes and its maximum quotient. A sweep that ends above its
+    ceiling (see the module docstring) is a ContractViolationError, so
+    beta <= straight_max holds by construction up to that slack. stats
+    counts the Newton teleports of the argmax node (see SolveStats).
     """
 
     beta: float
     w: DiscreteField
     iterations: int
     converged: bool
-    endpoint_levels: tuple[float, float]
-    straight_max: float
+    path: PathState
     stats: SolveStats = dataclasses.field(default_factory=SolveStats)
+
+    @property
+    def endpoint_levels(self) -> tuple[float, float]:
+        return float(self.path.quotients[0]), float(self.path.quotients[-1])
+
+    @property
+    def straight_max(self) -> float:
+        return self.path.max_quotient
+
+    def to_json_dict(self) -> dict:
+        return {
+            "value": self.beta,
+            "converged": self.converged,
+            "iterations": self.iterations,
+            "endpoints": list(self.endpoint_levels),
+            "straight_max": self.straight_max,
+            "grid": self.w.grid.descriptor,
+            "stats": dataclasses.asdict(self.stats),
+        }
 
 
 def _node(blend: DiscreteField, alpha: float, p: float):
@@ -216,7 +235,6 @@ def mountain_pass(
     solve = fn.stiffness_solver(grid)
     free = grid.free
     m = len(path.nodes) - 1
-    endpoint_levels = (float(path.quotients[0]), float(path.quotients[m]))
 
     nodes = list(path.nodes)
     quotients = path.quotients.copy()
@@ -375,7 +393,6 @@ def mountain_pass(
         w=nodes[top],
         iterations=iterations,
         converged=converged,
-        endpoint_levels=endpoint_levels,
-        straight_max=path.max_quotient,
+        path=path,
         stats=stats,
     )

@@ -138,7 +138,7 @@ def test_criterion_01_linear_radial_level(tmp_path):
     dt = time.perf_counter() - t0
     payload = json.loads(out.read_text())
     target = math.pi**2 / 4.0
-    rel = abs(payload["level"] - target) / target
+    rel = abs(payload["value"] - target) / target
     _verdict(
         1,
         [
@@ -146,7 +146,7 @@ def test_criterion_01_linear_radial_level(tmp_path):
             ("level within 1e-4 of pi^2/4", rel <= 1e-4),
             ("runtime < 1 s", dt < 1.0),
         ],
-        f"level={payload['level']:.7f} rel={rel:.2e} {dt:.2f}s",
+        f"level={payload['value']:.7f} rel={rel:.2e} {dt:.2f}s",
     )
 
 

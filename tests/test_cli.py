@@ -119,7 +119,7 @@ class TestSolveCommands:
         assert payload["level_tag"] == "S_rad"
         assert payload["converged"] is True
         assert payload["params"] == {"dim": 3, "alpha": 1.0, "p": 4.0}
-        assert payload["level"] > 0.0
+        assert payload["value"] > 0.0
         assert payload["elapsed"] >= 0.0
         assert payload["grid"].startswith("radial(n=100,")
 
@@ -129,7 +129,7 @@ class TestSolveCommands:
             tmp_path / "out.json",
         )
         assert rc == EXIT_OK
-        assert payload["level"] == pytest.approx(math.pi**2 / 4.0, rel=1e-3)
+        assert payload["value"] == pytest.approx(math.pi**2 / 4.0, rel=1e-3)
 
     def test_solve_ground(self, tmp_path):
         rc, payload = _run_json(
@@ -155,7 +155,7 @@ class TestSolveCommands:
             tmp_path / "out.json",
         )
         assert rc == EXIT_OK
-        assert payload["level_tag"] == "raw"
+        assert payload["level_tag"] == "lambda"
         assert payload["escaped"] is False
 
     def test_radial_snapshot(self, tmp_path):
@@ -235,8 +235,8 @@ class TestMountainPass:
         )
         assert rc == EXIT_NONCONVERGED
         assert payload["converged"] is False
-        assert payload["beta"] >= max(payload["endpoint_levels"]) * (1 - 1e-12)
-        assert payload["beta"] <= payload["straight_max"] * (1 + 1e-12)
+        assert payload["value"] >= max(payload["endpoints"]) * (1 - 1e-12)
+        assert payload["value"] <= payload["straight_max"] * (1 + 1e-12)
         assert 1 <= payload["crossing_index"] <= payload["segments"]
         assert 0.0 <= payload["asymmetry_index"] <= 1.0
         sweeps = _pass_sweeps(caplog)
@@ -244,7 +244,7 @@ class TestMountainPass:
         # the per-sweep path maximum never increases, and ends at beta
         maxima = [max(quotients) for _, _, quotients in sweeps]
         assert all(b <= a * (1.0 + 1e-10) for a, b in zip(maxima, maxima[1:]))
-        assert maxima[-1] == payload["beta"]
+        assert maxima[-1] == payload["value"]
         assert all(len(quotients) == 10 for _, _, quotients in sweeps)
         stats = payload["stats"]
         assert set(stats) == {
@@ -335,23 +335,35 @@ class TestSweepAndFit:
         assert math.isfinite(payload["slope"])
         assert 0.0 <= payload["r_squared"] <= 1.0
 
-    def test_sweep_beta_is_the_mountain_pass(self, tmp_path):
-        # both commands run the one bubble-pass recipe, so their numbers agree
-        # bit for bit
-        point = ["--p", "5.5", *SMALL_AXI, "--eps", "1e-3"]
-        rc, single = _run_json(["mountain-pass", "--alpha", "1", *point], tmp_path / "mp.json")
+    def _entry_and_payload(self, tmp_path, level, command, point):
+        """The sweep's entry for level at alpha = 1, tol dropped, and the
+        payload of command at the same point."""
+        rc, single = _run_json([command, "--alpha", "1", *point], tmp_path / "one.json")
         assert rc == EXIT_OK
         out = tmp_path / "records.jsonl"
-        rc = main(["sweep", "--axis", "alpha", "--values", "1", *point, "--levels", "beta",
+        rc = main(["sweep", "--axis", "alpha", "--values", "1", *point, "--levels", level,
                    "--out", str(out)])
         assert rc == EXIT_OK
         (record,) = [json.loads(line) for line in out.read_text().splitlines()]
-        beta = record["levels"]["beta"]
-        assert beta["value"] == single["beta"]
-        assert beta["iterations"] == single["iterations"]
-        assert beta["stats"] == single["stats"]
-        assert beta["endpoints"] == single["endpoint_levels"]
-        assert beta["straight_max"] == single["straight_max"]
+        entry = record["levels"][level]
+        entry.pop("tol")
+        return entry, single
+
+    # Both front ends print one result's to_json_dict(): every key of the
+    # sweep entry but tol is in the payload, with the same value bit for bit.
+    def test_sweep_beta_is_the_mountain_pass(self, tmp_path):
+        entry, single = self._entry_and_payload(
+            tmp_path, "beta", "mountain-pass", ["--p", "5.5", *SMALL_AXI, "--eps", "1e-3"])
+        assert set(entry) == {"value", "converged", "iterations", "endpoints", "straight_max",
+                              "grid", "stats"}
+        assert {key: single[key] for key in entry} == entry
+
+    def test_sweep_ground_is_solve_ground(self, tmp_path):
+        entry, single = self._entry_and_payload(
+            tmp_path, "S", "solve-ground", ["--p", "4", *SMALL_AXI])
+        assert set(entry) == {"value", "level_tag", "converged", "constraint_defect",
+                              "iterations", "residual", "grid", "init_tag", "escaped", "stats"}
+        assert {key: single[key] for key in entry} == entry
 
     def test_unconverged_beta_exits_nonconverged(self, tmp_path, monkeypatch):
         # a pass cut after one sweep is recorded unconverged, and the sweep

@@ -201,7 +201,7 @@ class TestLambda:
         params = ProblemParams(alpha=1.0, p=5.5)
         result = solve_lambda(params, axi_grid)
         assert result.converged
-        assert result.report.level_tag == "raw"
+        assert result.report.level_tag == "lambda"
         ep, em = halfspace_energies(result.field)
         escaped_now = (em - ep) < 1e-3 * (ep + em)
         assert result.escaped == escaped_now
@@ -408,7 +408,7 @@ class TestResultPayload:
         result = solve_radial(params_alpha1_p4, radial_grid)
         d = result.to_json_dict()
         assert set(d) == {
-            "level",
+            "value",
             "level_tag",
             "converged",
             "constraint_defect",

@@ -9,11 +9,13 @@ per-grid cache needs no lock; no module reaches a sparse direct
 factorization, so every linear solve goes through the tensor-product
 stiffness solver or MINRES; only the harness and the command line
 open files, so the solvers report through return values and the logger;
-and no module imports a name it never uses.
+and no module imports a name it never uses. The package's __all__ lists
+exactly its public names.
 """
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,14 @@ def _private(name: str) -> bool:
 
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "minimize.py", "mountain_pass.py"}
+
+
+def test_all_lists_the_public_names():
+    # __all__ stays an explicit list, which tools read; it names exactly
+    # what the package imports for its users, each name once
+    public = [name for name, value in vars(henon_annulus).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(henon_annulus.__all__) == sorted(public)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
