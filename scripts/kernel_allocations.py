@@ -13,7 +13,9 @@ each kernel's microseconds per call (the best of BATCHES batches), minor
 faults per call and the tracemalloc peak of one warm call in planes. A
 plane is one float64 value per quadrature point of the head rule, the
 size of the interpolated field V. The field is the normalized midpoint
-of the straight path between the two boundary bubbles.
+of the straight path between the two boundary bubbles. The last row,
+newton_system, is one Newton-system assembly as a bordered Newton step
+builds it: A(0.1), M(u) and the free block of A(0.1) - (p - 1) M(u).
 
     PYTHONPATH=src python scripts/kernel_allocations.py
 
@@ -35,8 +37,16 @@ ALPHA, P, EPS = 1.0, 5.5, 1e-3
 GRIDS = ((96, 32), (128, 48))
 BATCHES, CALLS = 5, 40
 ROUNDS = 5
+LAM = 0.1
+
+
+def newton_system(u, alpha, p):
+    a = fn.stiffness_matrix(u.grid, LAM)
+    return fn.jacobian_block(u.grid, a, fn.weighted_linearized_matrix(u, alpha, p), p - 1.0)
+
+
 KERNELS = (fn.weighted_pnorm_p, fn.weighted_force, fn.weighted_linearized_matrix,
-           fn.functional_gradient)
+           fn.functional_gradient, newton_system)
 
 
 def minor_faults() -> int:

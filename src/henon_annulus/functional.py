@@ -54,10 +54,18 @@ cell, evaluated by a fixed positive-weight Gauss rule in eta (exact to
 roundoff, positive semidefinite by construction). A radial grid has
 M_theta = 1 and K_theta = 0, so only K_r remains, and sum(I0) = 2 makes a
 theta-constant field reproduce its radial energy and weighted norms up to
-roundoff (embed_radial). A and M share one CSR
-layout per grid, the Kronecker product of the factors' tridiagonal
-patterns. Per-cell energies use the same cell integrals in closed form;
-for a Q1 cell with P = u10 - u00, Q = u00 - u10 - u01 + u11, S = u01 - u00,
+roundoff (embed_radial).
+
+Each grid has one stiffness layout: the CSR indices and indptr of the
+Kronecker product of the factors' tridiagonal patterns, built once and
+read-only. Every stiffness-pattern matrix is a data vector on it: A,
+A_plus, A_minus, their difference, A(lam) and M(u) share its index
+arrays, and jacobian_block takes the free block of s A(lam) - c M(u)
+from their data through a selection made once per grid. No Newton step
+does sparse arithmetic or slicing.
+
+Per-cell energies use the same cell integrals in closed form; for a Q1
+cell with P = u10 - u00, Q = u00 - u10 - u01 + u11, S = u01 - u00,
 
     int |grad u|^2 dmu = c1 (P^2 I0 + 2 P Q I1 + Q^2 I2)
                        + c2 (S^2 + S Q + Q^2 / 3),
@@ -94,7 +102,6 @@ keeps the tensor form, its radial cells scaled by 1 + lam above r = 2 and
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 from dataclasses import dataclass
 
@@ -292,6 +299,8 @@ class _Assembly:
         self.indices = cols[self.order].astype(np.int32)
         counts = np.bincount(rows, minlength=self.n)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
 
     def work(self, shape) -> tuple:
         """Two planes of shape, views of the grid's one pair of work arrays.
@@ -340,16 +349,39 @@ class _Assembly:
 
         return self.cached(("quadrature", alpha), build)
 
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with data on the grid's stiffness layout, whose index
+        arrays it shares."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
     def tensor_matrix(self, pairs: np.ndarray) -> sp.csr_matrix:
         """The matrix whose entry at ((i, j), (k, l)) is pairs[ik, jl].
 
         pairs has one row per radial node pair and one column per angular
         node pair, each in the order of _tridiagonal.
         """
-        return sp.csr_matrix(
-            (np.ravel(pairs)[self.order], self.indices.copy(), self.indptr.copy()),
-            shape=(self.n, self.n),
-        )
+        return self.matrix(np.ravel(pairs)[self.order])
+
+    def free_block(self, free: slice):
+        """(rows, inside, indices, indptr) of the free-by-free block.
+
+        rows is the slice of layout positions in the free rows and inside
+        marks the block's entries among them, so data[rows][inside] is the
+        block's data in layout order; indices and indptr are the block's
+        own read-only CSR index arrays.
+        """
+        def build():
+            rows = slice(self.indptr[free.start], self.indptr[free.stop])
+            cols = self.indices[rows] - free.start
+            inside = (cols >= 0) & (cols < free.stop - free.start)
+            # entries kept before each layout position of the free rows
+            kept = np.concatenate([[0], np.cumsum(inside)]).astype(np.int32)
+            arrays = (inside, cols[inside], kept[self.indptr[free.start:free.stop + 1] - rows.start])
+            for array in arrays:
+                array.setflags(write=False)
+            return (rows, *arrays)
+
+        return self.cached("free_block", build)
 
 
 _ASSEMBLY: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -416,7 +448,7 @@ def stiffness_matrix(grid, lam: float = 0.0) -> sp.csr_matrix:
     if lam == 0.0:
         return asm.cached("stiffness", lambda: _build_stiffness(asm, 0, len(asm.k_r)))
     a_plus, a_minus = halfspace_stiffness(grid)
-    return ((1.0 + lam) * a_plus + (1.0 - lam) * a_minus).tocsr()
+    return asm.matrix((1.0 + lam) * a_plus.data + (1.0 - lam) * a_minus.data)
 
 
 def halfspace_stiffness(grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -431,7 +463,36 @@ def halfspace_stiffness(grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 def balance_matrix(grid) -> sp.csr_matrix:
     """A_plus - A_minus, the derivative of A(lam) in lam, cached per grid."""
-    return _assembly(grid).cached("balance", lambda: operator.sub(*halfspace_stiffness(grid)))
+    asm = _assembly(grid)
+
+    def build():
+        a_plus, a_minus = halfspace_stiffness(grid)
+        return asm.matrix(a_plus.data - a_minus.data)
+
+    return asm.cached("balance", build)
+
+
+def jacobian_block(grid, a: sp.csr_matrix, m: sp.csr_matrix, c: float,
+                   s: float = 1.0) -> sp.csr_matrix:
+    """The free-by-free block of s * a - c * m, a and m on grid's layout.
+
+    a is a stiffness A(lam) and m a matrix M(u), as stiffness_matrix and
+    weighted_linearized_matrix return them. Each entry is the one
+    multiply-subtract SciPy's (s * a - c * m)[free, free] does, so the
+    two are equal entry for entry, but explicit zeros are kept. A matrix
+    on another layout is refused.
+    """
+    asm = _assembly(grid)
+    if a.indptr is not asm.indptr or m.indptr is not asm.indptr:
+        raise ContractViolationError("jacobian_block needs matrices on the grid's layout")
+    rows, inside, indices, indptr = asm.free_block(grid.free)
+    data = a.data[rows][inside]
+    data *= s
+    curvature = m.data[rows][inside]
+    curvature *= c
+    data -= curvature
+    n = len(indptr) - 1
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _build_stiffness(asm: _Assembly, lo: int, hi: int) -> sp.csr_matrix:

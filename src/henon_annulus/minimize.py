@@ -44,7 +44,9 @@ polishes converged iterates, drives the level-form defect of the rescaled
 field to roundoff, and on the balanced set runs bordered by the
 constraint as that set's teleport. Every Newton step, bordered or not, is
 one MINRES solve of a symmetric system preconditioned by the stiffness
-solver (`_newton_step`); no matrix is factored.
+solver (`_newton_step`); no matrix is factored, and the system's matrix
+is the free block functional.jacobian_block takes from data on the
+grid's one stiffness layout.
 
 Every level is certified by one rule (`_certificate`): the masked merit
 gradient 2 (A(c) u - R F(u)) has norm at most GRADIENT_FACTOR R, and the
@@ -315,7 +317,8 @@ def newton(grid, u: DiscreteField, merit: float, alpha: float, p: float,
         if combined <= 1e-12 * max(1.0, float(np.linalg.norm((a @ w)[free]))):
             progressed = True
             break
-        jac = (a - (p - 1.0) * fn.weighted_linearized_matrix(field, alpha, p))[free, free]
+        jac = fn.jacobian_block(grid, a, fn.weighted_linearized_matrix(field, alpha, p),
+                                p - 1.0)
         # with the border, the column is d = d/dlam of A(lam) w; the
         # constraint's gradient is 2 d, so its linearization
         # c + 2 d . dw = 0 is halved to keep the system symmetric
@@ -378,16 +381,16 @@ def _teleport(grid, u: DiscreteField, merit: float, alpha: float, p: float,
     free = grid.free
     start, best, reached = merit, None, math.inf
     mu = 0.0
-    curvature = None  # (p - 1) R M(u) at the current iterate
+    m = None  # M(u) at the current iterate
     for _ in range(NEWTON_MAX):
         f = force(u)
         au = a @ u.values
         r = (au - merit * f)[free]
         if np.linalg.norm(r) <= 1e-12 * np.linalg.norm(au[free]):
             break
-        if curvature is None:
-            curvature = ((p - 1.0) * merit) * fn.weighted_linearized_matrix(u, alpha, p)
-        jac = ((1.0 + mu) * a - curvature)[free, free]
+        if m is None:
+            m = fn.weighted_linearized_matrix(u, alpha, p)
+        jac = fn.jacobian_block(grid, a, m, (p - 1.0) * merit, 1.0 + mu)
         got = _newton_step(jac, r, solver, stats, f[free])
         trial = None
         if got is not None:
@@ -398,7 +401,7 @@ def _teleport(grid, u: DiscreteField, merit: float, alpha: float, p: float,
             tm, tep, tem = _merit_energy(trial)
             reached = min(reached, tm)
             if tm < merit:
-                u, merit, curvature = trial, tm, None
+                u, merit, m = trial, tm, None
                 best = (trial, tm, tep, tem)
                 mu /= SHIFT_GROWTH
                 continue

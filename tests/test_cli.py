@@ -424,6 +424,15 @@ class TestSweepAndFit:
         assert rc == EXIT_OK
         assert payload["slope"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_fit_skips_blank_lines(self, tmp_path):
+        records = _unconverged_records(tmp_path / "records.jsonl")
+        plain = _run_json(["fit", str(records), "--force"], tmp_path / "plain.json")
+        first, *rest = records.read_text().splitlines()
+        records.write_text("\n" + first + "\n  \n\t\n" + "\n\n".join(rest) + "\n\n")
+        spaced = _run_json(["fit", str(records), "--force"], tmp_path / "spaced.json")
+        assert spaced == plain
+        assert spaced[1]["records"] == 3
+
 
 class TestLogLevel:
     def test_debug_reaches_stderr(self, tmp_path, capsys):
@@ -583,6 +592,25 @@ class TestExitCodes:
         assert "maxit must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--p", "4"], "sweep requires --axis and --values"),
+            (["--axis", "alpha", "--p", "4"], "sweep requires --axis and --values"),
+            (["--values", "2,4", "--p", "4"], "sweep requires --axis and --values"),
+            (["--axis", "alpha", "--values", "2,4"],
+             "sweep over alpha requires the fixed value --p"),
+            (["--axis", "p", "--values", "3,4", "--p", "4"],
+             "sweep over p requires the fixed value --alpha"),
+        ],
+        ids=["no-axis-no-values", "no-values", "no-axis", "alpha-without-p", "p-without-alpha"],
+    )
+    def test_incomplete_sweep_exits_invalid(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "f.jsonl"
+        assert main(["sweep", *argv, "--n-radial", "100", "--out", str(out)]) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_descending_sweep_values(self):
         rc = main(["sweep", "--axis", "alpha", "--values", "8,4,2", "--p", "4"])
         assert rc == EXIT_INVALID
@@ -606,6 +634,7 @@ class TestExitCodes:
             json.dumps({"p": 4.0, "dim": 3, "levels": {}}),
             "[1, 2]",
             json.dumps({"alpha": 2.0, "p": 4.0, "dim": 3, "levels": {"S_rad": []}}),
+            json.dumps({"alpha": 2.0, "p": 4.0, "dim": 3, "levels": [{"value": 10.0}]}),
             json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3,
                         "levels": {"S_rad": {"value": "x", "converged": True}}}),
             json.dumps({"alpha": 16.0, "p": 4.0, "dim": 3,
@@ -623,7 +652,8 @@ class TestExitCodes:
             json.dumps({"alpha": 16.0, "p": math.nan, "dim": 3,
                         "levels": {"S_rad": {"value": 80.0, "converged": True}}}),
         ],
-        ids=["no-alpha", "not-an-object", "level-not-an-object", "value-not-a-number",
+        ids=["no-alpha", "not-an-object", "level-not-an-object", "levels-not-an-object",
+             "value-not-a-number",
              "converged-not-a-bool", "value-nan", "value-infinity", "alpha-a-string",
              "alpha-a-bool", "dim-not-an-int", "p-nan"],
     )

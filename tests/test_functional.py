@@ -344,8 +344,78 @@ class TestHalfspaceDecomposition:
         a = fn.stiffness_matrix(grid)
         m = fn.weighted_linearized_matrix(u, 1.0, 5.5)
         assert 0 < np.count_nonzero(m.data) < m.nnz
-        assert np.array_equal(m.indptr, a.indptr)
-        assert np.array_equal(m.indices, a.indices)
+        # not only equal: both are the grid's one read-only layout
+        assert _on_layout(m, grid) and _on_layout(a, grid)
+
+
+def _on_layout(matrix, grid) -> bool:
+    """Whether matrix's index arrays are the grid's read-only layout arrays
+    (scipy keeps indices as a full-length view of the array it was given)."""
+    asm = fn._assembly(grid)
+    indices = matrix.indices
+    return (matrix.indptr is asm.indptr
+            and (indices is asm.indices or indices.base is asm.indices)
+            and not asm.indices.flags.writeable and not asm.indptr.flags.writeable)
+
+
+class TestStiffnessLayout:
+    """Every stiffness-pattern matrix is a data vector on the grid's one
+    layout, and the Newton free block is taken from those data vectors,
+    entry for entry what SciPy's sparse arithmetic and slicing give."""
+
+    ALPHA, P = 1.0, 5.5
+
+    def _field(self, grid):
+        u0, u1 = (instanton(InstantonParams(1e-3, side), grid) for side in (0, 1))
+        return normalize(u0.with_values(u0.values + u1.values), self.ALPHA, self.P)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("s, c", [(1.0, 4.5), (1.7, 4.5 * 12.9)],
+                             ids=["newton", "shifted"])
+    def test_free_block_is_scipys_bitwise(self, lam, s, c, axi_grid_small):
+        grid, free = axi_grid_small, axi_grid_small.free
+        a = fn.stiffness_matrix(grid, lam)
+        m = fn.weighted_linearized_matrix(self._field(grid), self.ALPHA, self.P)
+        block = fn.jacobian_block(grid, a, m, c, s)
+        expected = (s * a - c * m)[free, free].toarray()
+        assert np.array_equal(block.toarray(), expected)
+        assert block.shape == expected.shape
+        assert not block.indices.flags.writeable and not block.indptr.flags.writeable
+
+    def test_layout_matrices_are_scipys_sums_bitwise(self, axi_grid_small):
+        grid = axi_grid_small
+        a_plus, a_minus = fn.halfspace_stiffness(grid)
+        lam = 0.3
+        scipy_lam = (1.0 + lam) * a_plus + (1.0 - lam) * a_minus
+        assert np.array_equal(fn.stiffness_matrix(grid, lam).toarray(), scipy_lam.toarray())
+        assert np.array_equal(fn.balance_matrix(grid).toarray(),
+                              (a_plus - a_minus).toarray())
+
+    def test_every_matrix_shares_the_layout(self, axi_grid_small):
+        grid = axi_grid_small
+        matrices = (fn.stiffness_matrix(grid), fn.stiffness_matrix(grid, 0.3),
+                    fn.balance_matrix(grid), *fn.halfspace_stiffness(grid),
+                    fn.weighted_linearized_matrix(self._field(grid), self.ALPHA, self.P))
+        assert all(_on_layout(matrix, grid) for matrix in matrices)
+
+    def test_in_place_mutation_is_refused(self, axi_grid_small):
+        grid = axi_grid_small
+        m = fn.weighted_linearized_matrix(self._field(grid), self.ALPHA, self.P)
+        a = fn.stiffness_matrix(grid)
+        indices, nnz = a.indices.copy(), a.nnz
+        assert np.count_nonzero(m.data) < m.nnz
+        with pytest.raises(ValueError):
+            m.eliminate_zeros()
+        block = fn.jacobian_block(grid, a, m, 4.5)
+        with pytest.raises(ValueError):
+            block.eliminate_zeros()
+        assert a.nnz == nnz and np.array_equal(a.indices, indices)
+
+    def test_matrix_off_the_layout_is_refused(self, axi_grid_small):
+        grid = axi_grid_small
+        a = fn.stiffness_matrix(grid)
+        with pytest.raises(ContractViolationError):
+            fn.jacobian_block(grid, a, a.copy(), 1.0)
 
 
 class TestStiffnessSolver:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from henon_annulus import (
+    AxiGrid,
     ConfigurationError,
     DiscreteField,
     ProblemParams,
+    RadialGrid,
     build_axi_grid,
     build_radial_grid,
 )
@@ -98,6 +100,30 @@ class TestRadialGrid:
         with pytest.raises(ConfigurationError):
             build_radial_grid(50, "log")
 
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            (np.linspace(1.0, 3.5, 21), "run exactly from 1 to 3"),
+            (np.linspace(0.5, 3.0, 21), "run exactly from 1 to 3"),
+            (np.r_[np.linspace(1.0, 2.0, 11), 1.95, np.linspace(2.1, 3.0, 10)],
+             "strictly increasing"),
+            (np.r_[np.linspace(1.0, 2.0, 11), np.linspace(2.0, 3.0, 11)],
+             "strictly increasing"),
+            (np.linspace(1.0, 3.0, 20), "r = 2 must be an exact node"),
+            (np.linspace(1.0, 3.0, 15), "at least 16 radial cells"),
+        ],
+        ids=["outer-not-3", "inner-not-1", "decreasing", "repeated-node", "no-mid-node",
+             "too-few-cells"],
+    )
+    def test_constructor_refuses_bad_nodes(self, nodes, message):
+        with pytest.raises(ConfigurationError, match=message):
+            RadialGrid(nodes)
+
+    @pytest.mark.parametrize("dim", [2, 3.0, "3"])
+    def test_constructor_refuses_bad_dim(self, dim):
+        with pytest.raises(ConfigurationError, match="dim must be an integer >= 3"):
+            RadialGrid(build_radial_grid(16).nodes, dim=dim)
+
     def test_identity_equality(self):
         a = build_radial_grid(50)
         b = build_radial_grid(50)
@@ -139,6 +165,24 @@ class TestAxiGrid:
             build_axi_grid(4, 12)
         with pytest.raises(ConfigurationError):
             build_axi_grid(32, 4)
+
+    @pytest.mark.parametrize(
+        "theta, message",
+        [
+            (np.linspace(0.0, 3.0, 9), "run exactly from 0 to pi"),
+            (np.linspace(0.1, math.pi, 9), "run exactly from 0 to pi"),
+            (np.r_[0.0, 0.5, 0.4, np.linspace(1.0, math.pi, 7)], "strictly increasing"),
+            (np.linspace(0.0, math.pi, 8), "at least 8 angular cells"),
+        ],
+        ids=["end-not-pi", "start-not-0", "decreasing", "too-few-cells"],
+    )
+    def test_constructor_refuses_bad_theta_nodes(self, theta, message):
+        with pytest.raises(ConfigurationError, match=message):
+            AxiGrid(build_radial_grid(16).nodes, theta)
+
+    def test_constructor_checks_radial_nodes(self):
+        with pytest.raises(ConfigurationError, match="r = 2 must be an exact node"):
+            AxiGrid(np.linspace(1.0, 3.0, 20), np.linspace(0.0, math.pi, 9))
 
     def test_unknown_grading(self):
         # the variants are "uniform" and "graded-polar"
